@@ -14,6 +14,7 @@ which is ``numpy.fft.fft(values) / N``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -134,7 +135,9 @@ class CyclicSubset:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x % self.modulus in set(self.members)
+        x = x % self.modulus
+        i = bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
 
     @property
     def density(self) -> Fraction:

@@ -16,7 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (
+    DEFAULT_BRUTE_CAP,
     CyclicSubset,
+    _grid_chunks,
+    _phi_indices,
     as_fraction,
     has_configuration,
     sol_count,
@@ -91,6 +94,46 @@ def _mask_to_subset(n: int, mask: int) -> CyclicSubset:
     return CyclicSubset(n, tuple(x for x in range(n) if (mask >> x) & 1))
 
 
+def _exact_scan(
+    system: LinearFormSystem,
+    n: int,
+    size_bound: int,
+    minimize: bool,
+    budget: int,
+) -> ExtremalResult:
+    """Best Sol over all subsets of size >= (minimize) or <= (maximize) the bound.
+
+    The configuration count of every subset B at once is the subset-sum
+    (zeta) transform sum_{m subset of B} w(m) of the configuration table w,
+    computed in N in-place passes over a 2^N table.  Counts are at most
+    N^D, which the table cap keeps inside int32.  argmin/argmax return
+    the first index, so the certificate is the numerically first bitmask
+    among the optimal ones.
+    """
+    if 1 << n > budget:
+        raise ValueError(f"2^{n} subsets exceed the exact budget")
+    masks, mult = _config_table(system, n)
+    counts = np.zeros(1 << n, dtype=np.int32)
+    counts[masks] = mult
+    for i in range(n):
+        v = counts.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
+    popcount = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    if minimize:
+        counts[popcount < size_bound] = np.iinfo(np.int32).max
+        best_mask = int(np.argmin(counts))
+    else:
+        counts[popcount > size_bound] = -1
+        best_mask = int(np.argmax(counts))
+    best_count = int(counts[best_mask])
+    value = Fraction(best_count, n**system.num_variables)
+    cert = _mask_to_subset(n, best_mask)
+    _verify_exact(system, cert, value)
+    return ExtremalResult(value, cert, "exact", "equals", {"count": best_count})
+
+
 def min_sol_exact(
     system: LinearFormSystem,
     alpha,
@@ -99,29 +142,16 @@ def min_sol_exact(
 ) -> ExtremalResult:
     """Exact m(alpha, N): minimum Sol over subsets of size >= ceil(alpha N).
 
-    Scans every size >= the floor rather than assuming the minimum sits at
-    the smallest size.
+    Evaluates all 2^N subsets at once, every size >= the floor included,
+    rather than assuming the minimum sits at the smallest size.  Ties go
+    to the numerically first bitmask among the optimal subsets.
+    O(N 2^N) time, O(2^N) memory.
     """
     alpha = as_fraction(alpha)
     size_min = max(0, math.ceil(alpha * n))
     if size_min > n:
         raise ValueError("alpha N exceeds N")
-    if 1 << n > budget:
-        raise ValueError(f"2^{n} subsets exceed the exact budget")
-    masks, mult = _config_table(system, n)
-    total = n**system.num_variables
-    best_count = None
-    best_mask = None
-    for mask in range(1 << n):
-        if bin(mask).count("1") < size_min:
-            continue
-        c = _count_for_mask(masks, mult, mask)
-        if best_count is None or c < best_count:
-            best_count, best_mask = c, mask
-    value = Fraction(best_count, total)
-    cert = _mask_to_subset(n, best_mask)
-    _verify_exact(system, cert, value)
-    return ExtremalResult(value, cert, "exact", "equals", {"count": best_count})
+    return _exact_scan(system, n, size_min, True, budget)
 
 
 def max_sol_exact(
@@ -130,25 +160,15 @@ def max_sol_exact(
     n: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> ExtremalResult:
-    """Exact M(alpha, N): maximum Sol over subsets of size <= floor(alpha N)."""
+    """Exact M(alpha, N): maximum Sol over subsets of size <= floor(alpha N).
+
+    Same scan and tie-break as ``min_sol_exact``: O(N 2^N) time, O(2^N) memory.
+    """
     alpha = as_fraction(alpha)
     size_max = min(n, math.floor(alpha * n))
-    if 1 << n > budget:
-        raise ValueError(f"2^{n} subsets exceed the exact budget")
-    masks, mult = _config_table(system, n)
-    total = n**system.num_variables
-    best_count = None
-    best_mask = None
-    for mask in range(1 << n):
-        if bin(mask).count("1") > size_max:
-            continue
-        c = _count_for_mask(masks, mult, mask)
-        if best_count is None or c > best_count:
-            best_count, best_mask = c, mask
-    value = Fraction(best_count, total)
-    cert = _mask_to_subset(n, best_mask)
-    _verify_exact(system, cert, value)
-    return ExtremalResult(value, cert, "exact", "equals", {"count": best_count})
+    if size_max < 0:
+        raise ValueError("alpha must be non-negative")
+    return _exact_scan(system, n, size_max, False, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +649,8 @@ def interval_free_set(
     exact configuration scan.  Returns None when nothing free turns up
     within the denominator budget; invariant systems are rejected
     outright since only non-invariant systems admit free intervals.
+    One pass over the N^D grid builds a freeness table that answers each
+    candidate in O(1): O(t N^D + D0^3) time.
     """
     if is_invariant(system):
         raise ValueError("invariant systems admit no free sets; need a non-invariant system")
@@ -646,16 +668,25 @@ def interval_free_set(
                 seen.add((lo, hi))
                 candidates.append((lo, hi))
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0]))
+    # A configuration lies in [lo, hi) iff its smallest coordinate is >= lo
+    # and its largest is < hi, so [lo, hi) is free iff hi <= reach[lo] with
+    # reach[lo] = min{largest coordinate : smallest coordinate >= lo}.
+    reach = np.full(n + 1, n, dtype=np.int64)
+    for digits in _grid_chunks(n, system.num_variables, DEFAULT_BRUTE_CAP):
+        vals = np.stack(list(_phi_indices(system, digits, n)))
+        np.minimum.at(reach, vals.min(axis=0), vals.max(axis=0))
+    reach = np.minimum.accumulate(reach[::-1])[::-1]
     for lo, hi in candidates:
+        if hi > reach[lo]:
+            continue
         subset = CyclicSubset(n, tuple(range(lo, hi)))
-        if not has_configuration(subset, system):
-            if sol_count(subset, system).count != 0:
-                raise AssertionError("freeness scan and recount disagree")
-            return ExtremalResult(
-                subset.density,
-                subset,
-                "construction",
-                "lowerBound",
-                {"interval": f"[{lo}, {hi})"},
-            )
+        if has_configuration(subset, system) or sol_count(subset, system).count != 0:
+            raise AssertionError("freeness table and recount disagree")
+        return ExtremalResult(
+            subset.density,
+            subset,
+            "construction",
+            "lowerBound",
+            {"interval": f"[{lo}, {hi})"},
+        )
     return None

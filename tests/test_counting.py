@@ -46,6 +46,19 @@ def test_subset_file_round_trip(tmp_path):
         CyclicSubset.from_text("3\n1\n2\n")
 
 
+def test_subset_membership_wraps_like_modular_lookup():
+    for a in (
+        CyclicSubset(11, (0, 3, 7, 10)),
+        CyclicSubset(11, (4,)),
+        CyclicSubset.empty(5),
+        CyclicSubset.full(6),
+        CyclicSubset(1, (0,)),
+    ):
+        n = a.modulus
+        for x in range(-3 * n, 3 * n):
+            assert (x in a) == (x % n in a.members), (a, x)
+
+
 def test_sol_brute_full_and_small_sets():
     system = three_ap()
     full = CyclicSubset.full(7)

@@ -2,9 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclicforms.counting import sol_count
+from cyclicforms import extremal
+from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
 from cyclicforms.extremal import (
+    _config_table,
+    _count_for_mask,
     dependent_pair_exact,
     interval_free_set,
     max_free_density_exact,
@@ -17,7 +22,13 @@ from cyclicforms.extremal import (
     weyl_set,
     weyl_target_density,
 )
-from cyclicforms.forms import dilate_pair, kernel_system, three_ap
+from cyclicforms.forms import (
+    LinearFormSystem,
+    dilate_pair,
+    four_ap,
+    kernel_system,
+    three_ap,
+)
 from cyclicforms.primes import multiplicative_order
 
 
@@ -40,6 +51,64 @@ def test_max_sol_edges():
     system = three_ap()
     assert max_sol_exact(system, 1, 6).value == 1
     assert max_sol_exact(system, 0, 6).value == 0
+
+
+def _per_mask_exact(system, alpha, n, minimize):
+    """Reference scan: one table lookup per bitmask, first strict improvement wins."""
+    masks, mult = _config_table(system, n)
+    if minimize:
+        sign, bound = 1, max(0, math.ceil(alpha * n))
+    else:
+        sign, bound = -1, min(n, math.floor(alpha * n))
+    best_count = best_mask = None
+    for mask in range(1 << n):
+        if sign * (bin(mask).count("1") - bound) < 0:
+            continue
+        c = _count_for_mask(masks, mult, mask)
+        if best_count is None or sign * c < sign * best_count:
+            best_count, best_mask = c, mask
+    members = tuple(x for x in range(n) if (best_mask >> x) & 1)
+    return Fraction(best_count, n**system.num_variables), members
+
+
+SCAN_SYSTEMS = [
+    three_ap(),
+    kernel_system((1, 1, -3)),
+    four_ap(),
+    dilate_pair(2),
+    LinearFormSystem(((1, 0), (0, 1), (1, 1))),
+]
+
+
+@given(
+    st.sampled_from(SCAN_SYSTEMS),
+    st.integers(1, 12),
+    st.integers(0, 10).map(lambda k: Fraction(k, 10)),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_scans_match_per_mask_reference(system, n, alpha):
+    for fn, minimize in ((min_sol_exact, True), (max_sol_exact, False)):
+        got = fn(system, alpha, n)
+        value, members = _per_mask_exact(system, alpha, n, minimize)
+        assert got.value == value, (fn.__name__, system.forms, n, alpha)
+        assert got.certificate.members == members, (fn.__name__, system.forms, n, alpha)
+
+
+def test_exact_budget_checked_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("configuration table built past the subset budget")
+
+    monkeypatch.setattr(extremal, "_config_table", no_table)
+    with pytest.raises(ValueError, match="exact budget"):
+        min_sol_exact(three_ap(), Fraction(2, 5), 23)
+    with pytest.raises(ValueError, match="exact budget"):
+        max_sol_exact(three_ap(), Fraction(2, 5), 23)
+
+
+def test_max_sol_exact_rejects_negative_alpha():
+    with pytest.raises(ValueError):
+        max_sol_exact(three_ap(), Fraction(-1, 5), 6)
+    assert max_sol_exact(three_ap(), Fraction(1, 7), 6).value == 0
 
 
 def test_complement_duality_bridge():
@@ -198,3 +267,43 @@ def test_interval_free_set():
     assert mult.density > pair_result.value
     with pytest.raises(ValueError):
         interval_free_set(three_ap(), 11)
+
+
+def _per_candidate_interval(system, n, max_denominator=64):
+    """Reference walk: one has_configuration probe per candidate interval."""
+    candidates = set()
+    for d0 in range(1, max_denominator + 1):
+        for a in range(d0):
+            for b in range(a + 1, d0 + 1):
+                lo, hi = -((-a * n) // d0), -((-b * n) // d0)
+                if 0 < hi - lo < n:
+                    candidates.add((lo, hi))
+    for lo, hi in sorted(candidates, key=lambda c: (c[0] - c[1], c[0])):
+        if not has_configuration(CyclicSubset(n, tuple(range(lo, hi))), system):
+            return tuple(range(lo, hi))
+    return None
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        kernel_system((1, 1, -3)),
+        dilate_pair(2),
+        LinearFormSystem(((1, 0), (0, 1), (1, 1))),
+        LinearFormSystem(((1, 0), (0, 1), (1, 2))),
+    ],
+    ids=lambda s: str(s.forms),
+)
+def test_interval_free_set_matches_per_candidate_walk(system):
+    # a denominator budget of 3 leaves several of these systems with no
+    # free candidate, which exercises the None return
+    for max_denominator in (3, 64):
+        for n in range(3, 41):
+            got = interval_free_set(system, n, max_denominator)
+            expected = _per_candidate_interval(system, n, max_denominator)
+            if expected is None:
+                assert got is None, (max_denominator, n)
+            else:
+                assert got is not None, (max_denominator, n)
+                assert got.certificate.members == expected, (max_denominator, n)
+                assert got.value == Fraction(len(expected), n)
