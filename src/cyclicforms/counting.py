@@ -1,10 +1,11 @@
 """Solution measures of linear-form systems over Z/N.
 
-The brute-force path iterates the full variable grid (Z/N)^D in chunks,
-so multiplicity is handled trivially and indicator inputs get an exact
-integer count.  The fast path evaluates the dual sum over the kernel
-presentation with one DFT per slot; it is floating point with a
-documented 1e-9 tolerance and is never used inside exact solvers.
+The brute-force path walks the full variable grid (Z/N)^D through
+``forms.configurations``, the one chunked enumerator of a system's
+configurations, so multiplicity is handled trivially and indicator
+inputs get an exact integer count.  The fast path evaluates the dual sum
+over the kernel presentation with one DFT per slot; it is floating point
+with a documented 1e-9 tolerance and is never used inside exact solvers.
 
 DFT convention, used everywhere in this package:
     fhat(r) = E_x f(x) e(-r x / N)
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import KernelPresentation, LinearFormSystem
+from .forms import KernelPresentation, LinearFormSystem, configurations
 
 MAGNITUDE_SLACK = 1e-12
 
@@ -202,38 +203,24 @@ class SolutionMeasure:
 
 
 DEFAULT_BRUTE_CAP = 10**9
-_CHUNK = 1 << 18
 
 
-def _check_slots(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> int:
+def _check_slots(fs: Sequence[CyclicFunction | CyclicSubset], system: LinearFormSystem) -> int:
     if len(fs) != system.t:
-        raise ValueError(f"system has {system.t} forms but got {len(fs)} functions")
+        raise ValueError(f"system has {system.t} forms but got {len(fs)} inputs")
     moduli = {f.modulus for f in fs}
     if len(moduli) != 1:
-        raise ValueError("all functions must share one modulus")
+        raise ValueError("all inputs must share one modulus")
     return moduli.pop()
 
 
-def _grid_chunks(n: int, d: int, cap: int):
-    total = n**d
-    if total > cap:
-        raise ValueError(f"brute force over {n}^{d} points exceeds cap {cap}")
-    powers = [n**j for j in range(d)]
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = [(idx // p) % n for p in powers]
-        yield digits
-
-
-def _phi_indices(system: LinearFormSystem, digits, n: int):
-    for row in system.forms:
-        acc = None
-        for c, dig in zip(row, digits):
-            if c == 0:
-                continue
-            term = (c % n) * dig
-            acc = term if acc is None else acc + term
-        yield acc % n if acc is not None else np.zeros_like(digits[0])
+def _products(values: Sequence[np.ndarray], system: LinearFormSystem, n: int, cap: int):
+    """Per chunk of the grid, the array prod_i values[i][psi_i(x)]."""
+    for phis in configurations(system, n, cap):
+        prod = values[0][phis[0]]
+        for vals, phi in zip(values[1:], phis[1:]):
+            prod *= vals[phi]
+        yield prod
 
 
 def sol_brute(
@@ -247,24 +234,13 @@ def sol_brute(
     configuration count in the result.
     """
     n = _check_slots(fs, system)
-    d = system.num_variables
-    total = n**d
+    total = n**system.num_variables
     if all(f.is_indicator() for f in fs):
         inds = [f.values.real.astype(np.uint8) for f in fs]
-        count = 0
-        for digits in _grid_chunks(n, d, cap):
-            prod = None
-            for ind, phi in zip(inds, _phi_indices(system, digits, n)):
-                vals = ind[phi]
-                prod = vals.copy() if prod is None else prod * vals
-            count += int(prod.sum())
+        count = sum(int(prod.sum()) for prod in _products(inds, system, n, cap))
         return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
     acc = 0.0 + 0.0j
-    for digits in _grid_chunks(n, d, cap):
-        prod = None
-        for f, phi in zip(fs, _phi_indices(system, digits, n)):
-            vals = f.values[phi]
-            prod = vals.copy() if prod is None else prod * vals
+    for prod in _products([f.values for f in fs], system, n, cap):
         acc += complex(prod.sum())
     return SolutionMeasure(value=acc / total, points=total, count=None)
 
@@ -292,21 +268,9 @@ def has_configuration(
     """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
-    if len(sets) != system.t:
-        raise ValueError("one set per form required")
-    n = sets[0].modulus
-    if any(s.modulus != n for s in sets):
-        raise ValueError("all sets must share one modulus")
+    n = _check_slots(sets, system)
     inds = [s.indicator_array() for s in sets]
-    d = system.num_variables
-    for digits in _grid_chunks(n, d, cap):
-        prod = None
-        for ind, phi in zip(inds, _phi_indices(system, digits, n)):
-            vals = ind[phi]
-            prod = vals.copy() if prod is None else prod * vals
-        if prod.any():
-            return True
-    return False
+    return any(prod.any() for prod in _products(inds, system, n, cap))
 
 
 def sol_fast(

@@ -18,13 +18,11 @@ import numpy as np
 from .counting import (
     DEFAULT_BRUTE_CAP,
     CyclicSubset,
-    _grid_chunks,
-    _phi_indices,
     as_fraction,
     has_configuration,
     sol_count,
 )
-from .forms import LinearFormSystem, image_mod_n, is_invariant
+from .forms import LinearFormSystem, configurations, image_mod_n, is_invariant
 from .primes import is_prime, multiplicative_order
 
 
@@ -64,18 +62,15 @@ def _config_table(system: LinearFormSystem, n: int, cap: int = 10**7):
     A subset given as bitmask B contains a configuration y iff
     needed(y) & ~B == 0 where needed(y) = OR of 1 << y_i.
     """
-    d = system.num_variables
-    if n**d > cap:
-        raise ValueError(f"configuration table for {n}^{d} points exceeds cap")
     if n > 62:
         raise ValueError("bitmask path supports N <= 62")
-    grid = np.indices((n,) * d).reshape(d, -1)
-    mat = np.array(system.forms, dtype=np.int64)
-    vals = mat @ grid % n  # t x n^d
-    needed = np.zeros(vals.shape[1], dtype=np.int64)
-    for row in vals:
-        needed |= np.int64(1) << row
-    masks, mult = np.unique(needed, return_counts=True)
+    needed = []
+    for phis in configurations(system, n, cap):
+        chunk = np.zeros(len(phis[0]), dtype=np.int64)
+        for phi in phis:
+            chunk |= np.int64(1) << phi
+        needed.append(chunk)
+    masks, mult = np.unique(np.concatenate(needed), return_counts=True)
     return masks, mult.astype(np.int64)
 
 
@@ -294,6 +289,22 @@ def _forbidden_edges(
     return minimal
 
 
+def _verify_free(
+    family: Sequence[LinearFormSystem],
+    cert: CyclicSubset,
+    ignore_constant_configs: bool,
+) -> None:
+    """Recount every configuration of the family against the certificate."""
+    inside = cert.indicator_array().astype(bool)
+    for system in family:
+        for phis in configurations(system, cert.modulus, DEFAULT_BRUTE_CAP):
+            hit = np.logical_and.reduce([inside[phi] for phi in phis])
+            if ignore_constant_configs:
+                hit &= np.logical_or.reduce([phi != phis[0] for phi in phis])
+            if hit.any():
+                raise AssertionError("certificate contains a forbidden configuration")
+
+
 def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 2_000_000):
     """Exact maximum subset of [0, n) containing no edge entirely.
 
@@ -355,15 +366,7 @@ def max_free_density_exact(
     edges = _forbidden_edges(family, n, ignore_constant_configs)
     mask, size = _max_independent_bb(n, edges, node_budget)
     cert = _mask_to_subset(n, mask)
-    for system in family:
-        if not ignore_constant_configs:
-            measured = sol_count(cert, system)
-            if measured.count != 0:
-                raise AssertionError("certificate contains a configuration")
-        else:
-            for config in image_mod_n(system, n):
-                if len(set(config)) > 1 and all(x in cert for x in config):
-                    raise AssertionError("certificate contains a non-constant configuration")
+    _verify_free(family, cert, ignore_constant_configs)
     return ExtremalResult(
         Fraction(size, n), cert, "exact", "equals", {"edges": len(edges)}
     )
@@ -394,9 +397,7 @@ def max_free_density_heuristic(
         if len(chosen) > len(best):
             best = chosen
     cert = CyclicSubset.from_iterable(n, best)
-    for system in family:
-        if not ignore_constant_configs and sol_count(cert, system).count != 0:
-            raise AssertionError("certificate contains a configuration")
+    _verify_free(family, cert, ignore_constant_configs)
     return ExtremalResult(
         Fraction(len(best), n), cert, "heuristic", "lowerBound", {"seed": seed}
     )
@@ -672,8 +673,8 @@ def interval_free_set(
     # and its largest is < hi, so [lo, hi) is free iff hi <= reach[lo] with
     # reach[lo] = min{largest coordinate : smallest coordinate >= lo}.
     reach = np.full(n + 1, n, dtype=np.int64)
-    for digits in _grid_chunks(n, system.num_variables, DEFAULT_BRUTE_CAP):
-        vals = np.stack(list(_phi_indices(system, digits, n)))
+    for phis in configurations(system, n, DEFAULT_BRUTE_CAP):
+        vals = np.stack(phis)
         np.minimum.at(reach, vals.min(axis=0), vals.max(axis=0))
     reach = np.minimum.accumulate(reach[::-1])[::-1]
     for lo, hi in candidates:

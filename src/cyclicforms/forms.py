@@ -108,15 +108,18 @@ class KernelPresentation:
         return len(self.matrix)
 
     def kernel_mod_n(self, n: int) -> set[tuple[int, ...]]:
-        """Enumerate {y in (Z/n)^t : matrix . y = 0 mod n}.  Test-scale only."""
+        """Enumerate {y in (Z/n)^t : matrix . y = 0 mod n}, for n^t <= 10**7."""
         if not self.matrix:
             raise ValueError("k = 0 presentation: the kernel is all of (Z/n)^t")
         t = len(self.matrix[0])
-        rows = np.array(self.matrix, dtype=np.int64)
-        grid = np.indices((n,) * t).reshape(t, -1)
-        ok = np.all(rows @ grid % n == 0, axis=0)
-        pts = grid[:, ok].T
-        return {tuple(int(v) for v in p) for p in pts}
+        identity = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
+        stacked = LinearFormSystem(identity + self.matrix)
+        kernel: set[tuple[int, ...]] = set()
+        for phis in configurations(stacked, n, 10**7):
+            ys, rows = phis[:t], phis[t:]
+            ok = np.logical_and.reduce([row == 0 for row in rows])
+            kernel.update(zip(*(y[ok].tolist() for y in ys)))
+        return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +311,47 @@ def kernelize(system: LinearFormSystem) -> KernelPresentation:
     return KernelPresentation(matrix=rows, bad_modulus=bad, invariant_factors=nontrivial)
 
 
-def image_mod_n(system: LinearFormSystem, n: int, cap: int = 10**6) -> set[tuple[int, ...]]:
-    """Exact enumeration of the image of (Z/n)^D in (Z/n)^t."""
+# 2^15 points keep a chunk's arrays in a 2 MiB L2 cache; on a 2-vCPU Xeon,
+# chunks of 2^18 ran integer counts 3-5% and complex sums 24% slower.
+_CHUNK = 1 << 15
+
+
+def configurations(system: LinearFormSystem, n: int, cap: int):
+    """Walk (Z/n)^D and yield, per chunk of points, the t arrays psi_i mod n.
+
+    Points run in row-major order, first variable most significant, so the
+    concatenated output is ``system.evaluate(p, n)`` for p in
+    ``itertools.product(range(n), repeat=D)``.  Raises ValueError before
+    allocating when n <= 0 or n^D exceeds ``cap``.
+    """
     d = system.num_variables
     if n <= 0:
         raise ValueError("modulus must be positive")
-    if n**d > cap:
+    total = n**d
+    if total > cap:
         raise ValueError(f"enumeration of {n}^{d} points exceeds cap {cap}")
-    grid = np.indices((n,) * d).reshape(d, -1)
-    mat = np.array(system.forms, dtype=np.int64)
-    vals = mat @ grid % n
-    return {tuple(int(v) for v in col) for col in vals.T}
+    powers = [n ** (d - 1 - j) for j in range(d)]
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = [(idx // p) % n for p in powers]
+        phis = []
+        for row in system.forms:
+            acc = None
+            for c, dig in zip(row, digits):
+                if c == 0:
+                    continue
+                term = (c % n) * dig
+                acc = term if acc is None else acc + term
+            phis.append(acc % n)
+        yield phis
+
+
+def image_mod_n(system: LinearFormSystem, n: int, cap: int = 10**6) -> set[tuple[int, ...]]:
+    """Exact enumeration of the image of (Z/n)^D in (Z/n)^t."""
+    image: set[tuple[int, ...]] = set()
+    for phis in configurations(system, n, cap):
+        image.update(zip(*(phi.tolist() for phi in phis)))
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +405,6 @@ def kernel_system(coefficients: Iterable[int], name: str | None = None) -> Linea
     if name is None:
         name = "kernel-" + "_".join(str(x) for x in c)
     return LinearFormSystem(forms=tuple(rows), name=name)
-
-
-STOCK_SYSTEMS = {
-    "3ap": three_ap,
-    "4ap": four_ap,
-}
 
 
 def as_dependent_pair(system: LinearFormSystem) -> int | None:

@@ -23,24 +23,6 @@ from .primes import is_prime, smallest_prime_factor
 DEFAULT_BUDGET = 5 * 10**8
 
 
-def _u2_fourth(values: np.ndarray) -> float:
-    """||f||_{U^2}^4 = sum_r |fhat(r)|^4 for one vector."""
-    n = len(values)
-    if np.all(values.imag == 0):
-        spec = np.fft.rfft(values.real)
-        mags = np.abs(spec) ** 4
-        total = mags[0]
-        if n % 2 == 0:
-            total += mags[-1]
-            total += 2 * mags[1:-1].sum()
-        else:
-            total += 2 * mags[1:].sum()
-    else:
-        spec = np.fft.fft(values)
-        total = (np.abs(spec) ** 4).sum()
-    return float(total) / n**4
-
-
 def _u2_fourth_rows(rows: np.ndarray) -> np.ndarray:
     """Row-wise ||.||_{U^2}^4 for a matrix of functions."""
     n = rows.shape[1]
@@ -76,7 +58,8 @@ def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
     """E_{h tuples} ||Delta_{h_1..h_{d-2}} f||_{U^2}^4  =  ||f||_{U^d}^{2^d}."""
     n = len(values)
     if d == 2:
-        return _u2_fourth(values)
+        rows = values.real[None, :] if np.all(values.imag == 0) else values[None, :]
+        return float(_u2_fourth_rows(rows)[0])
     if n ** (d - 2) * n > budget:
         raise ValueError(f"U^{d} at N={n} exceeds the computation budget")
     if d == 3:

@@ -26,7 +26,6 @@ from .poly import (
     binomial,
     taylor_eval,
     taylor_expand,
-    truncate,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "taylor_eval",
     "taylor_expand",
     "torus",
-    "truncate",
 ]

@@ -106,11 +106,3 @@ def taylor_expand(
             raise AssertionError("expansion failed to reproduce its input values")
     return poly
 
-
-def truncate(p: PolynomialSequence, below: int) -> PolynomialSequence:
-    """Zero out coefficients g_j for j >= below."""
-    model = p.model
-    coeffs = tuple(
-        g if j < below else model.identity() for j, g in enumerate(p.coefficients)
-    )
-    return PolynomialSequence(model, coeffs)

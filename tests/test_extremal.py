@@ -200,6 +200,29 @@ def test_max_free_density_heuristic_is_lower_bound():
         assert sol_count(heur.certificate, pair).count == 0
 
 
+def test_max_free_density_certificates_pinned():
+    # The branch-and-bound edge order follows image_mod_n's insertion order,
+    # so a change of that order shows up here as a different certificate.
+    pair = max_free_density_exact([dilate_pair(2)], 21)
+    assert pair.value == Fraction(3, 7)
+    assert pair.certificate.members == (1, 4, 10, 12, 13, 14, 16, 18, 19)
+    assert pair.detail == {"edges": 20}
+    weak = max_free_density_exact([three_ap()], 13, ignore_constant_configs=True)
+    assert weak.value == Fraction(4, 13)
+    assert weak.certificate.members == (6, 7, 11, 12)
+    assert weak.detail == {"edges": 78}
+
+
+@pytest.mark.parametrize("solver", [max_free_density_exact, max_free_density_heuristic])
+@pytest.mark.parametrize("ignore_constant_configs", [False, True])
+def test_free_certificates_are_recounted(monkeypatch, solver, ignore_constant_configs):
+    # With no forbidden edges both searches return the full set, which holds
+    # non-constant progressions; only the recount can catch that.
+    monkeypatch.setattr(extremal, "_forbidden_edges", lambda *args: [])
+    with pytest.raises(AssertionError, match="forbidden configuration"):
+        solver([three_ap()], 20, ignore_constant_configs=ignore_constant_configs)
+
+
 def test_dependent_pair_exact_values():
     d5, _ = dependent_pair_exact(2, 5)
     assert d5.value == Fraction(2, 5)

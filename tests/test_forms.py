@@ -1,14 +1,17 @@
 import math
-from itertools import permutations
+import tracemalloc
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclicforms import forms
 from cyclicforms.forms import (
     LinearFormSystem,
     as_dependent_pair,
+    configurations,
     default_degree,
     dilate_pair,
     four_ap,
@@ -197,6 +200,48 @@ def test_image_mod_n_examples():
     assert image_mod_n(dilate_pair(2), 5) == {(a, 2 * a % 5) for a in range(5)}
     with pytest.raises(ValueError):
         image_mod_n(four_ap(), 100, cap=10**3)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d).filter(any),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.integers(1, 9),
+    st.integers(1, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_configurations_walk_the_grid_in_product_order(rows, n, chunk):
+    system = LinearFormSystem(tuple(tuple(r) for r in rows))
+    d = system.num_variables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_CHUNK", chunk)
+        chunks = list(configurations(system, n, n**d))
+    assert len(chunks) == -(-(n**d) // chunk)
+    got = [tuple(int(v) for v in col) for phis in chunks for col in zip(*phis)]
+    assert got == [system.evaluate(p, n) for p in product(range(n), repeat=d)]
+
+
+def test_configurations_reject_before_walking():
+    with pytest.raises(ValueError, match="positive"):
+        next(configurations(three_ap(), 0, 10))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        next(configurations(three_ap(), 4, 15))
+
+
+def test_kernel_mod_n_cap_checked_before_allocating():
+    kp = kernelize(four_ap())  # t = 4: 60^4 = 1.3e7 points, over the 10^7 cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            kp.kernel_mod_n(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_as_dependent_pair():
