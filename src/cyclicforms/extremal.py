@@ -638,6 +638,25 @@ def multiplicative_free_set(k: int, p: int) -> CyclicSubset:
     return subset
 
 
+def _interval_candidates(n: int, max_denominator: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct [lo, hi) = [ceil(aN/D0), ceil(bN/D0)) over 0 <= a < b <= D0 <= max_denominator.
+
+    Only proper nonempty intervals (0 < hi - lo < N) are kept.  They come
+    sorted densest first, then leftmost; that key is unique per pair, so
+    the set of pairs alone fixes the order.
+    """
+    keys = [np.zeros(0, dtype=np.int64)]
+    for d0 in range(1, max_denominator + 1):
+        ends = -((-np.arange(d0 + 1, dtype=np.int64) * n) // d0)  # ceil(jN/D0)
+        a, b = np.triu_indices(d0 + 1, 1)
+        lo, hi = ends[a], ends[b]
+        keep = (hi > lo) & (hi - lo < n)
+        keys.append(lo[keep] * (n + 1) + hi[keep])
+    lo, hi = np.divmod(np.unique(np.concatenate(keys)), n + 1)
+    order = np.lexsort((lo, lo - hi))
+    return lo[order], hi[order]
+
+
 def interval_free_set(
     system: LinearFormSystem,
     n: int,
@@ -650,25 +669,12 @@ def interval_free_set(
     exact configuration scan.  Returns None when nothing free turns up
     within the denominator budget; invariant systems are rejected
     outright since only non-invariant systems admit free intervals.
-    One pass over the N^D grid builds a freeness table that answers each
-    candidate in O(1): O(t N^D + D0^3) time.
+    One pass over the N^D grid builds a freeness table that answers all
+    candidates at once: O(t N^D + D0^3) time.
     """
     if is_invariant(system):
         raise ValueError("invariant systems admit no free sets; need a non-invariant system")
-    seen: set[tuple[int, int]] = set()
-    candidates: list[tuple[int, int]] = []
-    for d0 in range(1, max_denominator + 1):
-        for a in range(d0):
-            for b in range(a + 1, d0 + 1):
-                lo = -((-a * n) // d0)  # ceil(aN/D0)
-                hi = -((-b * n) // d0)
-                if hi - lo <= 0 or hi - lo >= n:
-                    continue
-                if (lo, hi) in seen:
-                    continue
-                seen.add((lo, hi))
-                candidates.append((lo, hi))
-    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0]))
+    los, his = _interval_candidates(n, max_denominator)
     # A configuration lies in [lo, hi) iff its smallest coordinate is >= lo
     # and its largest is < hi, so [lo, hi) is free iff hi <= reach[lo] with
     # reach[lo] = min{largest coordinate : smallest coordinate >= lo}.
@@ -677,17 +683,17 @@ def interval_free_set(
         vals = np.stack(phis)
         np.minimum.at(reach, vals.min(axis=0), vals.max(axis=0))
     reach = np.minimum.accumulate(reach[::-1])[::-1]
-    for lo, hi in candidates:
-        if hi > reach[lo]:
-            continue
-        subset = CyclicSubset(n, tuple(range(lo, hi)))
-        if has_configuration(subset, system) or sol_count(subset, system).count != 0:
-            raise AssertionError("freeness table and recount disagree")
-        return ExtremalResult(
-            subset.density,
-            subset,
-            "construction",
-            "lowerBound",
-            {"interval": f"[{lo}, {hi})"},
-        )
-    return None
+    free = np.flatnonzero(his <= reach[los])
+    if free.size == 0:
+        return None
+    lo, hi = int(los[free[0]]), int(his[free[0]])
+    subset = CyclicSubset(n, tuple(range(lo, hi)))
+    if has_configuration(subset, system) or sol_count(subset, system).count != 0:
+        raise AssertionError("freeness table and recount disagree")
+    return ExtremalResult(
+        subset.density,
+        subset,
+        "construction",
+        "lowerBound",
+        {"interval": f"[{lo}, {hi})"},
+    )

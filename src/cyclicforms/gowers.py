@@ -6,6 +6,15 @@ convention.  The definitional evaluator sums the full (d+1)-dimensional
 grid and exists only as a test oracle; it shares no code with the fast
 path beyond the input type.
 
+Every recursion level visits only the shifts h = 0..N/2.  Since
+Delta_{-h} f(x + h) = conj(Delta_h f(x)), the difference at -h is a
+translate of the conjugate of the difference at h, and U^k norms do not
+change under either; so h and N - h contribute equally (weight 2), while
+h = 0 and, for even N, h = N/2 pair with themselves (weight 1).  This
+holds for complex f too.  At U^3 the shifted rows f(. + h) conj(f) are
+formed in blocks of about ``_BLOCK`` elements, so memory is O(block + N)
+and no N x N array is ever built.
+
 Randomness contract: every seeded operation uses numpy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so results replay across platforms.
 """
@@ -21,6 +30,7 @@ from .forms import LinearFormSystem, pairwise_independent, size
 from .primes import is_prime, smallest_prime_factor
 
 DEFAULT_BUDGET = 5 * 10**8
+_BLOCK = 1 << 18  # elements of shifted rows per U^3 block: 64 rows at N = 4093
 
 
 def _u2_fourth_rows(rows: np.ndarray) -> np.ndarray:
@@ -46,32 +56,40 @@ def _u2_fourth_rows(rows: np.ndarray) -> np.ndarray:
     return totals / n**4
 
 
-def _all_shifts(values: np.ndarray) -> np.ndarray:
-    """Matrix with row h equal to x -> f(x + h), as a cheap strided product."""
-    n = len(values)
-    doubled = np.concatenate([values, values])
-    view = np.lib.stride_tricks.sliding_window_view(doubled, n)[:n]
-    return view
+def _half_shift_weights(n: int) -> np.ndarray:
+    """Weights of the shifts h = 0..n//2 that stand in for all n shifts."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights
 
 
 def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
-    """E_{h tuples} ||Delta_{h_1..h_{d-2}} f||_{U^2}^4  =  ||f||_{U^d}^{2^d}."""
+    """E_{h tuples} ||Delta_{h_1..h_{d-2}} f||_{U^2}^4  =  ||f||_{U^d}^{2^d}.
+
+    ``values`` is a real array when f is real-valued, complex otherwise.
+    """
     n = len(values)
     if d == 2:
-        rows = values.real[None, :] if np.all(values.imag == 0) else values[None, :]
-        return float(_u2_fourth_rows(rows)[0])
+        return float(_u2_fourth_rows(values[None, :])[0])
     if n ** (d - 2) * n > budget:
         raise ValueError(f"U^{d} at N={n} exceeds the computation budget")
-    if d == 3:
-        shifts = _all_shifts(values)
-        rows = shifts * np.conj(values)[None, :]
-        if np.all(values.imag == 0):
-            rows = rows.real
-        return float(np.mean(_u2_fourth_rows(rows)))
-    total = 0.0
+    weights = _half_shift_weights(n)
     conj = np.conj(values)
-    for h in range(n):
-        total += _power_mean(np.roll(values, -h) * conj, d - 1, budget)
+    total = 0.0
+    if d == 3:
+        # row h of the view is x -> f(x + h), for h = 0..n//2
+        shifts = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([values, values[: n // 2]]), n
+        )
+        step = max(1, _BLOCK // n)
+        for start in range(0, len(weights), step):
+            block = shifts[start : start + step] * conj
+            total += float(weights[start : start + step] @ _u2_fourth_rows(block))
+        return total / n
+    for h, weight in enumerate(weights.tolist()):
+        total += weight * _power_mean(np.roll(values, -h) * conj, d - 1, budget)
     return total / n
 
 
@@ -81,7 +99,10 @@ def gowers_norm(f: CyclicFunction, d: int, budget: int = DEFAULT_BUDGET) -> floa
         raise ValueError("d must be at least 1")
     if d == 1:
         return abs(f.mean)
-    power = _power_mean(np.asarray(f.values), d, budget)
+    values = np.asarray(f.values)
+    if not values.imag.any():
+        values = values.real
+    power = _power_mean(values, d, budget)
     return max(power, 0.0) ** (1.0 / (1 << d))
 
 

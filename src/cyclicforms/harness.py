@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .counting import as_fraction
 from .extremal import (
     dependent_pair_exact,
     max_free_density_exact,
@@ -60,15 +61,13 @@ def _run_quantity(
         return min_sol(system, alpha, n, mode=mode, **({"seed": seed} if mode == "heuristic" else {}))
     if quantity == "M":
         return max_sol(system, alpha, n, mode=mode, **({"seed": seed} if mode == "heuristic" else {}))
-    if quantity == "d":
-        k = as_dependent_pair(system)
-        if k is not None and abs(k) >= 2 and is_prime(n) and n > abs(k):
-            density, _ = dependent_pair_exact(k, n)
-            return density
-        if mode == "heuristic":
-            return max_free_density_heuristic([system], n, seed=seed)
-        return max_free_density_exact([system], n)
-    raise ValueError(f"unknown quantity {quantity!r}; use m, M, or d")
+    k = as_dependent_pair(system)
+    if k is not None and abs(k) >= 2 and is_prime(n) and n > abs(k):
+        density, _ = dependent_pair_exact(k, n)
+        return density
+    if mode == "heuristic":
+        return max_free_density_heuristic([system], n, seed=seed)
+    return max_free_density_exact([system], n)
 
 
 def scan_convergence(
@@ -87,9 +86,17 @@ def scan_convergence(
     Moduli below the requested smallest-prime-factor floor, or whose
     computation exceeds its budget, yield rows marked skipped and the
     scan continues; once the cumulative wall time passes ``budget_ms``
-    the remaining moduli are all marked skipped.  With ``out_dir`` the
-    CSV and SVG artifacts are written there.
+    the remaining moduli are all marked skipped.  An unknown quantity or
+    mode, or an alpha outside [0, 1] for m or M, raises ValueError before
+    the first modulus is run.  With ``out_dir`` the CSV and SVG artifacts
+    are written there.
     """
+    if quantity not in ("m", "M", "d"):
+        raise ValueError(f"unknown quantity {quantity!r}; use m, M, or d")
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}; use exact or heuristic")
+    if quantity in ("m", "M") and not 0 <= as_fraction(alpha) <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     records: list[ScanRecord] = []
     scan_start = time.perf_counter()
     for n in sorted(moduli):

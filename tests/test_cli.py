@@ -242,3 +242,13 @@ def test_budget_exhaustion_exit_code(capsys, system_file):
         ],
     )
     assert code == 2
+
+
+def test_scan_alpha_out_of_range_is_an_input_error(capsys, system_file):
+    code = main(
+        ["scan", "--system", system_file, "--quantity", "m", "--alpha", "7/5", "--moduli", "5,7"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

@@ -10,6 +10,7 @@ from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
 from cyclicforms.extremal import (
     _config_table,
     _count_for_mask,
+    _interval_candidates,
     dependent_pair_exact,
     interval_free_set,
     max_free_density_exact,
@@ -305,6 +306,34 @@ def _per_candidate_interval(system, n, max_denominator=64):
         if not has_configuration(CyclicSubset(n, tuple(range(lo, hi))), system):
             return tuple(range(lo, hi))
     return None
+
+
+def _interval_candidate_loop(n, max_denominator):
+    """Reference: the candidate loop with a seen set, then the sort."""
+    seen = set()
+    candidates = []
+    for d0 in range(1, max_denominator + 1):
+        for a in range(d0):
+            for b in range(a + 1, d0 + 1):
+                lo = -((-a * n) // d0)
+                hi = -((-b * n) // d0)
+                if hi - lo <= 0 or hi - lo >= n:
+                    continue
+                if (lo, hi) in seen:
+                    continue
+                seen.add((lo, hi))
+                candidates.append((lo, hi))
+    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0]))
+    return candidates
+
+
+def test_interval_candidates_match_the_loop():
+    for max_denominator in (3, 64):
+        for n in range(3, 128):
+            los, his = _interval_candidates(n, max_denominator)
+            got = list(zip(los.tolist(), his.tolist()))
+            assert got == _interval_candidate_loop(n, max_denominator), (max_denominator, n)
+    assert _interval_candidates(5, 0)[0].size == 0
 
 
 @pytest.mark.parametrize(

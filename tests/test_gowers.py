@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclicforms import gowers
 from cyclicforms.counting import CyclicFunction, CyclicSubset
 from cyclicforms.forms import four_ap, three_ap, dilate_pair
 from cyclicforms.gowers import (
@@ -51,13 +56,61 @@ def test_oracle_agreement_random():
             assert abs(gowers_norm(f, d) - gowers_norm_definitional(f, d)) < 1e-9
 
 
-def test_nesting():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        f = _random_complex(rng, 24)
-        norms = [gowers_norm(f, d) for d in (1, 2, 3, 4)]
-        for a, b in zip(norms, norms[1:]):
-            assert a <= b + 1e-9
+def _drawn_function(n, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    return _random_complex(rng, n) if is_complex else CyclicFunction(n, rng.random(n))
+
+
+@given(
+    st.integers(1, 14),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+)
+@settings(max_examples=120, deadline=None)
+def test_half_range_blocked_norm_matches_definition(n, is_complex, seed, rows):
+    # rows per U^3 block: blocks split mid-range, and for even N the
+    # self-paired shift N/2 lands on a block edge for some draws
+    f = _drawn_function(n, is_complex, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gowers, "_BLOCK", rows * n)
+        for d in (2, 3, 4):
+            assert abs(gowers_norm(f, d) - gowers_norm_definitional(f, d)) < 1e-9
+
+
+@given(st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_nesting(n, is_complex, seed):
+    f = _drawn_function(n, is_complex, seed)
+    norms = [gowers_norm(f, d) for d in (1, 2, 3, 4)]
+    for a, b in zip(norms, norms[1:]):
+        assert a <= b + 1e-12
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_u3_memory_is_bounded_by_the_block(is_complex):
+    # one N x N complex shift matrix alone would be 256 MiB here
+    f = _drawn_function(4093, is_complex, 5)
+    assert _peak_bytes(lambda: gowers_norm(f, 3)) < 16 << 20
+
+
+def test_budget_checked_before_allocating():
+    f = CyclicFunction.constant(0.5, 101)
+
+    def over_budget():
+        with pytest.raises(ValueError, match="budget"):
+            gowers_norm(f, 4, budget=10**3)
+
+    assert _peak_bytes(over_budget) < 1 << 20
 
 
 def test_modulation_and_translation_invariance():

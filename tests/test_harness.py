@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclicforms import harness
 from cyclicforms.forms import dilate_pair, three_ap
 from cyclicforms.harness import (
     CSV_HEADER,
@@ -72,6 +73,34 @@ def test_scan_marks_oversized_rows_skipped():
     methods = {r.n: r.method for r in records}
     assert methods[10**6] == "skipped"
     assert methods[5] == "exact"
+
+
+@pytest.mark.parametrize(
+    "quantity, alpha, mode",
+    [
+        ("x", Fraction(1, 2), "exact"),
+        ("m", Fraction(7, 5), "exact"),
+        ("M", Fraction(-1, 5), "heuristic"),
+        ("M", 2, "exact"),
+        ("d", None, "fast"),
+    ],
+)
+def test_scan_input_errors_raise_before_the_first_modulus(monkeypatch, quantity, alpha, mode):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a modulus was run")
+
+    monkeypatch.setattr(harness, "_run_quantity", not_reached)
+    with pytest.raises(ValueError):
+        scan_convergence(three_ap(), quantity, alpha, [5, 7], mode=mode)
+
+
+def test_scan_alpha_bounds_are_inclusive_and_ignored_for_density():
+    for alpha in (0, 1):
+        for quantity in ("m", "M"):
+            records, _ = scan_convergence(three_ap(), quantity, alpha, [5])
+            assert records[0].method == "exact"
+    records, _ = scan_convergence(dilate_pair(2), "d", Fraction(7, 5), [7])
+    assert records[0].value is not None
 
 
 def test_render_svg_no_data():
