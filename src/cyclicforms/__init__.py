@@ -1,8 +1,9 @@
 """Linear configurations in cyclic groups, made computable at desk scale.
 
-Solution measures of integer linear-form systems over Z/N (exact brute
-force and an FFT fast path), Gowers uniformity norms, extremal solution
-counts and free densities with verified certificates, explicit free-set
+Solution measures of integer linear-form systems over Z/N (a
+definitional grid walk, a bit-packed exact count and an FFT fast path),
+Gowers uniformity norms, extremal solution counts and free densities
+with verified certificates, explicit free-set
 constructions, and an exact-rational engine for polynomial sequences on
 filtered nilmanifolds including the constructive synthesis of periodic,
 irrational orbits.

@@ -1,11 +1,20 @@
 """Solution measures of linear-form systems over Z/N.
 
-The brute-force path walks the full variable grid (Z/N)^D through
-``forms.configurations``, the one chunked enumerator of a system's
-configurations, so multiplicity is handled trivially and indicator
-inputs get an exact integer count.  The fast path evaluates the dual sum
-over the kernel presentation with one DFT per slot; it is floating point
-with a documented 1e-9 tolerance and is never used inside exact solvers.
+There are three counting paths:
+
+- ``sol_brute``, the definitional grid walk: it visits (Z/N)^D through
+  ``forms.configurations``, the one chunked enumerator of a system's
+  configurations, and multiplies the t values at each point.  Indicator
+  inputs get an exact integer count, any other input a complex average.
+  It is the oracle the other two are tested against.
+- ``sol_count``, the bit-packed exact count for indicator sets: it
+  eliminates one variable, packs each slot's membership along it into
+  64-bit words, and counts the configurations with AND and popcount.
+  Every grid point is still tested, one bit each, so the count is exact.
+  Exact solvers and certificate checks use it.
+- ``sol_fast``, the float dual sum over the kernel presentation with one
+  DFT per slot; it has a documented 1e-9 tolerance and is never used
+  inside exact solvers.
 
 DFT convention, used everywhere in this package:
     fhat(r) = E_x f(x) e(-r x / N)
@@ -22,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import KernelPresentation, LinearFormSystem, configurations
+from .forms import KernelPresentation, LinearFormSystem, _walk, check_grid, configurations
 
 MAGNITUDE_SLACK = 1e-12
 
@@ -203,6 +212,7 @@ class SolutionMeasure:
 
 
 DEFAULT_BRUTE_CAP = 10**9
+_ROW_BLOCK = 1 << 18  # unpacked row bytes per slot per prefix chunk: 64 rows at N = 4093
 
 
 def _check_slots(fs: Sequence[CyclicFunction | CyclicSubset], system: LinearFormSystem) -> int:
@@ -245,16 +255,97 @@ def sol_brute(
     return SolutionMeasure(value=acc / total, points=total, count=None)
 
 
+def _eliminated_column(system: LinearFormSystem, n: int) -> int:
+    """The variable with the most unit coefficients mod n; the first on a tie."""
+    def units(j: int) -> int:
+        return sum(math.gcd(row[j] % n, n) == 1 for row in system.forms)
+
+    return max(range(system.num_variables), key=units)
+
+
+def _pack(rows: np.ndarray, words: int) -> np.ndarray:
+    """Pack a (k, n) matrix of 0/1 bytes into (k, words) uint64, zero past column n."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    if packed.shape[1] != 8 * words:
+        padded = np.zeros((len(rows), 8 * words), dtype=np.uint8)
+        padded[:, : packed.shape[1]] = packed
+        packed = padded
+    return packed.view(np.uint64)
+
+
+def _row_source(ind: np.ndarray, c: int, n: int):
+    """base -> the rows y -> ind[(base + c y) % n], y < n, for 0 < c < n.
+
+    With g = gcd(c, n), m = n / g and c' = c / g, a unit mod m:
+    base + c y = r + g (u + c' y) for r = base % g and u = base // g, so the
+    row has period m and its first m entries are row r of the table
+    T[r, z] = ind[r + g (c' z % m)] read cyclically from (c'^-1 u) % m.
+    Rows come out as windows of T, doubled, tiled to length n when g > 1.
+    """
+    g = math.gcd(c, n)
+    m = n // g
+    unit = c // g
+    if unit == 1:
+        cycles = ind.reshape(m, g).T
+    else:
+        cycles = ind[np.arange(g)[:, None] + g * (unit * np.arange(m) % m)]
+    doubled = np.concatenate([cycles, cycles[:, :-1]], axis=1)
+    # windows[r, s] is the view doubled[r, s : s + m]; nothing is copied
+    row_stride, step = doubled.strides
+    windows = np.ndarray((g, m, m), doubled.dtype, doubled, 0, (row_stride, step, step))
+    inv = pow(unit, -1, m)
+    if g == 1:
+        return lambda base: windows[0, inv * base % m]
+    return lambda base: np.tile(windows[base % g, inv * (base // g) % m], (1, g))
+
+
 def sol_count(
     sets: Sequence[CyclicSubset] | CyclicSubset,
     system: LinearFormSystem,
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolutionMeasure:
-    """Exact configuration count for indicator sets (one set, or one per slot)."""
+    """Exact configuration count for indicator sets (one set, or one per slot).
+
+    One variable x_j is eliminated and the other D - 1 are walked.  For each
+    such prefix p, slot i's membership along x_j is a row of N bits,
+    y -> 1_{A_i}(base_i(p) + c_i y), packed 64 to a word; the count is
+    sum_p popcount(AND_i row_i(p)).  Every grid point is still tested, as
+    one bit, so the count is exact.  The cap applies to the full N^D grid
+    and is checked before anything is allocated.
+    """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
-    fs = [s.indicator() for s in sets]
-    return sol_brute(fs, system, cap=cap)
+    n = _check_slots(sets, system)
+    d = system.num_variables
+    check_grid(n, d, cap)
+    j = _eliminated_column(system, n)
+    # one indicator per distinct set, one row source per distinct (set, c)
+    indicators, sources, slots = {}, {}, []
+    for s, row in zip(sets, system.forms):
+        c = row[j] % n
+        if id(s) not in indicators:
+            indicators[id(s)] = s.indicator_array()
+        if c and (id(s), c) not in sources:
+            sources[id(s), c] = _row_source(indicators[id(s)], c, n)
+        slots.append((indicators[id(s)], sources.get((id(s), c))))
+    words = -(-n // 64)
+    prefix_forms = [row[:j] + row[j + 1 :] for row in system.forms]
+    count = 0
+    for bases in _walk(prefix_forms, d - 1, n, max(1, _ROW_BLOCK // n)):
+        hits, mask = None, None
+        for (ind, source), base in zip(slots, bases):
+            if source is None:
+                mask = ind[base] if mask is None else mask & ind[base]
+            elif hits is None:
+                hits = _pack(source(base), words)
+            else:
+                hits &= _pack(source(base), words)
+        per_prefix = n if hits is None else np.bitwise_count(hits).sum(axis=1)
+        if mask is not None:
+            per_prefix = per_prefix * mask
+        count += int(np.sum(per_prefix))
+    total = n**d
+    return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
 
 
 def has_configuration(

@@ -2,8 +2,9 @@
 
 Exact solvers enumerate subsets (or run branch and bound on the
 forbidden-configuration hypergraph) and always re-verify the certificate
-through the brute-force counter before returning; heuristic solvers are
-seeded annealing searches whose results are certificate-backed bounds.
+through the exact counter ``sol_count`` before returning; heuristic
+solvers are seeded annealing searches whose results are certificate-backed
+bounds.
 """
 
 from __future__ import annotations

@@ -324,25 +324,37 @@ def configurations(system: LinearFormSystem, n: int, cap: int):
     ``itertools.product(range(n), repeat=D)``.  Raises ValueError before
     allocating when n <= 0 or n^D exceeds ``cap``.
     """
-    d = system.num_variables
+    check_grid(n, system.num_variables, cap)
+    return _walk(system.forms, system.num_variables, n, _CHUNK)
+
+
+def check_grid(n: int, d: int, cap: int) -> None:
+    """Raise ValueError unless 0 < n and the n^d grid fits within ``cap``."""
     if n <= 0:
         raise ValueError("modulus must be positive")
-    total = n**d
-    if total > cap:
+    if n**d > cap:
         raise ValueError(f"enumeration of {n}^{d} points exceeds cap {cap}")
+
+
+def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):
+    """Row-major walk of (Z/n)^d yielding, per chunk of points, each row's form mod n.
+
+    Rows may be all zero and d may be 0 (a single point, the empty tuple).
+    """
+    total = n**d
     powers = [n ** (d - 1 - j) for j in range(d)]
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = [(idx // p) % n for p in powers]
         phis = []
-        for row in system.forms:
+        for row in rows:
             acc = None
             for c, dig in zip(row, digits):
-                if c == 0:
+                if c % n == 0:
                     continue
                 term = (c % n) * dig
                 acc = term if acc is None else acc + term
-            phis.append(acc % n)
+            phis.append(np.zeros_like(idx) if acc is None else acc % n)
         yield phis
 
 

@@ -117,26 +117,40 @@ def gowers_norm_definitional(f: CyclicFunction, d: int, cap: int = 10**8) -> flo
     real = bool(np.all(values.imag == 0))
     if real:
         values = values.real
-    # axes: x, h_1, ..., h_d; chunk over h_d to bound memory
+    # axes: x, h_1, ..., h_{d-1}; h_d is looped over to bound memory
     axes = [np.arange(n, dtype=np.int64).reshape([-1] + [1] * d)]
     for j in range(1, d):
         shape = [1] * (d + 1)
         shape[j] = -1
         axes.append(np.arange(n, dtype=np.int64).reshape(shape))
+    # sign patterns eps in [0, 2^d): bit j < d-1 adds h_{j+1}, bit d-1 adds h_d.
+    # x + eps.h (mod n) over h_1..h_{d-1} is reduced once per call; the h_d
+    # term is read from the rolled values, f(i + h_d) = roll(f, -h_d)[i].
+    half = 1 << (d - 1)
+    patterns = []
+    for eps in range(half):
+        idx = axes[0]
+        for j in range(d - 1):
+            if (eps >> j) & 1:
+                idx = idx + axes[j + 1]
+        patterns.append(np.mod(idx, n))
+
+    def factor(source: np.ndarray, eps: int) -> np.ndarray:
+        gathered = source[patterns[eps % half]]
+        if not real and bin(eps).count("1") % 2 == 1:
+            gathered = np.conj(gathered)
+        return gathered
+
+    # the product over the patterns without h_d does not depend on h_d
+    fixed = factor(values, 0)
+    for eps in range(1, half):
+        fixed = fixed * factor(values, eps)
     total = 0.0 if real else 0.0 + 0.0j
     for hd in range(n):
-        prod = None
-        for eps in range(1 << d):
-            idx = axes[0]
-            for j in range(d - 1):
-                if (eps >> j) & 1:
-                    idx = idx + axes[j + 1]
-            if (eps >> (d - 1)) & 1:
-                idx = idx + hd
-            gathered = values[np.mod(idx, n)]
-            if not real and bin(eps).count("1") % 2 == 1:
-                gathered = np.conj(gathered)
-            prod = gathered if prod is None else prod * gathered
+        shifted = np.roll(values, -hd)
+        prod = fixed
+        for eps in range(half, 1 << d):
+            prod = prod * factor(shifted, eps)
         total += prod.sum()
     power = total / n ** (d + 1)
     if not real:

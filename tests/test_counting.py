@@ -1,8 +1,13 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cyclicforms import counting
 from cyclicforms.counting import (
     CyclicFunction,
     CyclicSubset,
@@ -17,6 +22,8 @@ from cyclicforms.counting import (
 from cyclicforms.forms import (
     LinearFormSystem,
     dilate_pair,
+    four_ap,
+    is_invariant,
     kernel_system,
     kernelize,
     size,
@@ -180,3 +187,122 @@ def test_brute_cap():
     f = CyclicFunction.constant(1.0, 101)
     with pytest.raises(ValueError):
         sol_brute([f] * 3, system, cap=100)
+
+
+def _random_subset(rng, n: int) -> CyclicSubset:
+    members = np.nonzero(rng.random(n) < rng.random())[0]
+    return CyclicSubset(n, tuple(int(x) for x in members))
+
+
+def _brute_count(sets, system) -> int:
+    return sol_brute([s.indicator() for s in sets], system).count
+
+
+@st.composite
+def _systems(draw):
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=d, max_size=d).filter(any)
+    return LinearFormSystem(tuple(tuple(r) for r in draw(st.lists(row, min_size=t, max_size=t))))
+
+
+@given(_systems(), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_packed_count_matches_grid_walk(system, n, block, seed):
+    # coefficients up to 9 in size give zero, non-unit and all-zero columns
+    # mod n; a small row block splits the prefix walk mid-grid
+    rng = np.random.default_rng(seed)
+    sets = [_random_subset(rng, n) for _ in range(system.t)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_ROW_BLOCK", block)
+        measure = sol_count(sets, system)
+    brute = sol_brute([s.indicator() for s in sets], system)
+    assert (measure.count, measure.points, measure.value) == (brute.count, brute.points, brute.value)
+
+
+@pytest.mark.parametrize(
+    "system, n",
+    [
+        (three_ap(), 100),  # the coefficient 2 is not a unit at even N
+        (kernel_system((1, 1, -3)), 2049),  # 3 divides N
+        (dilate_pair(2), 99991),  # D = 1: one row per slot
+        (three_ap(), 63),  # word edges
+        (three_ap(), 64),
+        (three_ap(), 65),
+        (LinearFormSystem(((2, 0), (0, 2), (2, 2))), 64),  # no unit column
+    ],
+    ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64"],
+)
+def test_packed_count_pinned_cases(system, n):
+    rng = np.random.default_rng(n)
+    single = _random_subset(rng, n)
+    per_slot = [_random_subset(rng, n) for _ in range(system.t)]
+    assert sol_count(single, system).count == _brute_count([single] * system.t, system)
+    assert sol_count(per_slot, system).count == _brute_count(per_slot, system)
+
+
+_STOCK = [three_ap(), four_ap(), kernel_system((1, 1, -3)), dilate_pair(2), dilate_pair(3)]
+
+
+@given(st.sampled_from(_STOCK), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_sol_is_monotone_under_inclusion(system, n, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_subset(rng, n)
+    b = CyclicSubset.from_iterable(n, a.members + _random_subset(rng, n).members)
+    assert sol_count(a, system).count <= sol_count(b, system).count
+
+
+@given(st.sampled_from(_STOCK), st.integers(1, 60), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_sol_is_invariant_under_unit_dilation(system, n, k, seed):
+    assume(math.gcd(k, n) == 1)
+    a = _random_subset(np.random.default_rng(seed), n)
+    assert sol_count(a.dilate(k), system).count == sol_count(a, system).count
+
+
+# each has an integral preimage of the all-ones vector, so translation is a
+# bijection of configurations at every N
+_INVARIANT = [three_ap(), four_ap(), kernel_system((1, 1, -2)), kernel_system((1, 2, -3))]
+
+
+@given(st.sampled_from(_INVARIANT), st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_sol_is_translation_invariant_for_invariant_systems(system, n, c, seed):
+    assert is_invariant(system)
+    a = _random_subset(np.random.default_rng(seed), n)
+    shifted = CyclicSubset.from_iterable(n, (x + c for x in a.members))
+    assert sol_count(shifted, system).count == sol_count(a, system).count
+
+
+@given(st.integers(0, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_complement_identity_random(half, seed):
+    a = _random_subset(np.random.default_rng(seed), 2 * half + 1)
+    sol_a, sol_c = complement_sol(a)
+    alpha = a.density
+    assert sol_a + sol_c == 1 - 3 * alpha + 3 * alpha**2
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sol_count_memory_is_bounded_by_the_row_block():
+    a = _random_subset(np.random.default_rng(4093), 4093)
+    assert _peak_bytes(lambda: sol_count(a, three_ap())) < 2 * 2**20
+
+
+def test_sol_count_cap_is_checked_before_allocation():
+    a = CyclicSubset.full(100)
+
+    def over_cap():
+        with pytest.raises(ValueError, match="exceeds cap"):
+            sol_count(a, four_ap(), cap=10**3)
+
+    assert _peak_bytes(over_cap) < 2**20
