@@ -280,23 +280,27 @@ def _row_source(ind: np.ndarray, c: int, n: int):
     base + c y = r + g (u + c' y) for r = base % g and u = base // g, so the
     row has period m and its first m entries are row r of the table
     T[r, z] = ind[r + g (c' z % m)] read cyclically from (c'^-1 u) % m.
-    Rows come out as windows of T, doubled, tiled to length n when g > 1.
+    Rows come out as windows of T, doubled, repeated g times when g > 1.
     """
     g = math.gcd(c, n)
     m = n // g
     unit = c // g
-    if unit == 1:
-        cycles = ind.reshape(m, g).T
-    else:
-        cycles = ind[np.arange(g)[:, None] + g * (unit * np.arange(m) % m)]
+    cycles = np.ascontiguousarray(ind.reshape(m, g).T)  # cycles[r, z] = ind[r + g z]
+    if unit != 1:  # c' = 1 needs no permutation of the columns
+        cycles = cycles[:, unit * np.arange(m) % m]
     doubled = np.concatenate([cycles, cycles[:, :-1]], axis=1)
     # windows[r, s] is the view doubled[r, s : s + m]; nothing is copied
     row_stride, step = doubled.strides
     windows = np.ndarray((g, m, m), doubled.dtype, doubled, 0, (row_stride, step, step))
     inv = pow(unit, -1, m)
-    if g == 1:
+    if g == 1:  # the common case: one window, no repetition to build
         return lambda base: windows[0, inv * base % m]
-    return lambda base: np.tile(windows[base % g, inv * (base // g) % m], (1, g))
+
+    def rows(base: np.ndarray) -> np.ndarray:
+        period = windows[base % g, inv * (base // g) % m]
+        return np.broadcast_to(period[:, None], (len(base), g, m)).reshape(len(base), n)
+
+    return rows
 
 
 def sol_count(
@@ -340,7 +344,10 @@ def sol_count(
                 hits = _pack(source(base), words)
             else:
                 hits &= _pack(source(base), words)
-        per_prefix = n if hits is None else np.bitwise_count(hits).sum(axis=1)
+        if hits is None:
+            per_prefix = np.full(len(bases[0]), n, dtype=np.int64)
+        else:
+            per_prefix = np.bitwise_count(hits).sum(axis=1, dtype=np.int64)
         if mask is not None:
             per_prefix = per_prefix * mask
         count += int(np.sum(per_prefix))

@@ -230,8 +230,9 @@ def test_packed_count_matches_grid_walk(system, n, block, seed):
         (three_ap(), 64),
         (three_ap(), 65),
         (LinearFormSystem(((2, 0), (0, 2), (2, 2))), 64),  # no unit column
+        (LinearFormSystem(((0, 2), (0, 2))), 256),  # every slot a mask; N above uint8
     ],
-    ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64"],
+    ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64", "masks-256"],
 )
 def test_packed_count_pinned_cases(system, n):
     rng = np.random.default_rng(n)
