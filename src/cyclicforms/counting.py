@@ -156,7 +156,7 @@ class CyclicSubset:
     def indicator_array(self) -> np.ndarray:
         arr = np.zeros(self.modulus, dtype=np.uint8)
         if self.members:
-            arr[list(self.members)] = 1
+            arr[np.fromiter(self.members, dtype=np.intp, count=len(self.members))] = 1
         return arr
 
     def indicator(self) -> CyclicFunction:
@@ -241,7 +241,8 @@ def sol_brute(
     """Sol(f_1, ..., f_t) = E_{n in (Z/N)^D} prod_i f_i(psi_i(n)), exactly as stated.
 
     Indicator inputs take an integer accumulation path and carry the exact
-    configuration count in the result.
+    configuration count in the result; real inputs multiply float64, not
+    complex128.
     """
     n = _check_slots(fs, system)
     total = n**system.num_variables
@@ -249,8 +250,11 @@ def sol_brute(
         inds = [f.values.real.astype(np.uint8) for f in fs]
         count = sum(int(prod.sum()) for prod in _products(inds, system, n, cap))
         return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
+    values = [f.values for f in fs]
+    if not any(v.imag.any() for v in values):
+        values = [v.real for v in values]
     acc = 0.0 + 0.0j
-    for prod in _products([f.values for f in fs], system, n, cap):
+    for prod in _products(values, system, n, cap):
         acc += complex(prod.sum())
     return SolutionMeasure(value=acc / total, points=total, count=None)
 

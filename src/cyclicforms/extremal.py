@@ -5,6 +5,12 @@ forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
 solvers are seeded annealing searches whose results are certificate-backed
 bounds.
+
+The branch and bound behind ``max_free_density_exact`` bounds a candidate
+set by its size minus a greedy count of pairwise vertex-disjoint forbidden
+configurations inside it.  The bound prunes only subtrees that hold no
+strict improvement, so the certificate is the one a bound by size alone
+returns: the first maximum free set in depth-first order.
 """
 
 from __future__ import annotations
@@ -309,41 +315,57 @@ def _verify_free(
 def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 2_000_000):
     """Exact maximum subset of [0, n) containing no edge entirely.
 
-    Branch on a fully-available edge by excluding one of its vertices;
-    bound by the size of the remaining candidate set.
+    A node is a candidate set ``avail`` together with ``live``, the bitset
+    (bit i for ``edges[i]``) of edges lying entirely inside it.  The node
+    branches on the first live edge in list order, excluding each of its
+    vertices in increasing order; excluding v leaves
+    ``live & ~incident[v]``.  A node with no live edge is a free set, and
+    it replaces the best set found so far only if it is strictly larger.
+
+    Bound: greedily pick ν pairwise vertex-disjoint live edges (take the
+    first live edge, drop every edge sharing a vertex with it, repeat).
+    A free subset of ``avail`` leaves out a distinct vertex of each, so it
+    has at most |avail| − ν elements, and the node is pruned when that is
+    no more than the best size.  A pruned subtree holds no strict
+    improvement, so the search meets the same improving sets in the same
+    DFS order as under the plain |avail| bound, and returns the same one:
+    the first maximum free set in DFS order.  Only the node count falls.
+    Every node, pruned or not, counts against ``node_budget``.
     """
-    edge_masks = [0 for _ in edges]
+    edge_masks = [sum(1 << v for v in e) for e in edges]
+    incident = [0] * n  # incident[v]: the edges through v
     for idx, e in enumerate(edges):
-        m = 0
         for v in e:
-            m |= 1 << v
-        edge_masks[idx] = m
-    full = (1 << n) - 1
-    best = {"mask": 0, "size": -1, "nodes": 0}
+            incident[v] |= 1 << idx
+    block = [0] * len(edges)  # block[i]: the edges sharing a vertex with edges[i]
+    for idx, e in enumerate(edges):
+        for v in e:
+            block[idx] |= incident[v]
+    best_mask, best_size, nodes = 0, -1, 0
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
-    def recurse(avail: int) -> None:
-        best["nodes"] += 1
-        if best["nodes"] > node_budget:
+    def recurse(avail: int, live: int) -> None:
+        nonlocal best_mask, best_size, nodes
+        nodes += 1
+        if nodes > node_budget:
             raise ValueError("branch-and-bound node budget exceeded")
-        if popcount(avail) <= best["size"]:
+        size = avail.bit_count()
+        rest = live
+        while rest and size > best_size:
+            size -= 1
+            rest &= ~block[(rest & -rest).bit_length() - 1]
+        if size <= best_size:
             return
-        live = next((m for m in edge_masks if m & avail == m), None)
-        if live is None:
-            size = popcount(avail)
-            if size > best["size"]:
-                best["size"], best["mask"] = size, avail
+        if not live:
+            best_mask, best_size = avail, size
             return
-        v = live & avail
+        v = edge_masks[(live & -live).bit_length() - 1]
         while v:
             bit = v & -v
-            recurse(avail & ~bit)
+            recurse(avail & ~bit, live & ~incident[bit.bit_length() - 1])
             v &= v - 1
 
-    recurse(full)
-    return best["mask"], best["size"]
+    recurse((1 << n) - 1, (1 << len(edges)) - 1)
+    return best_mask, best_size
 
 
 def max_free_density_exact(

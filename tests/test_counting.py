@@ -83,6 +83,33 @@ def test_sol_brute_constant_function():
     assert abs(value - 0.125) < 1e-12
 
 
+@pytest.mark.parametrize("complex_inputs", [False, True])
+@pytest.mark.parametrize("system", [three_ap(), kernel_system((1, 1, -3)), four_ap()])
+def test_sol_brute_matches_the_definition(system, complex_inputs):
+    # Real inputs take a float64 path, complex ones complex128; both must
+    # agree with the defining average to float64 rounding.
+    rng = np.random.default_rng(7)
+    n = 9
+    fs = []
+    for _ in range(system.t):
+        values = rng.uniform(-1, 1, n)
+        if complex_inputs:
+            values = values * np.exp(2j * np.pi * rng.random(n))
+        fs.append(CyclicFunction(n, values))
+    want = 0j
+    for point in np.ndindex(*(n,) * system.num_variables):
+        term = 1 + 0j
+        for f, y in zip(fs, system.evaluate(point, n)):
+            term *= f.values[y]
+        want += term
+    want /= n**system.num_variables
+    got = sol_brute(fs, system).value
+    assert isinstance(got, complex)
+    assert abs(got - want) < 1e-12
+    if not complex_inputs:
+        assert got.imag == 0.0
+
+
 def test_sol_multilinearity():
     rng = np.random.default_rng(5)
     system = three_ap()

@@ -10,7 +10,9 @@ from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
 from cyclicforms.extremal import (
     _config_table,
     _count_for_mask,
+    _forbidden_edges,
     _interval_candidates,
+    _max_independent_bb,
     dependent_pair_exact,
     interval_free_set,
     max_free_density_exact,
@@ -212,6 +214,108 @@ def test_max_free_density_certificates_pinned():
     assert weak.value == Fraction(4, 13)
     assert weak.certificate.members == (6, 7, 11, 12)
     assert weak.detail == {"edges": 78}
+    # Larger cases, recorded under the plain |avail| bound (x2x at N=37
+    # took 649k nodes there); the disjoint-edge bound must keep them.
+    pair = max_free_density_exact([dilate_pair(2)], 37)
+    assert pair.value == Fraction(18, 37)
+    assert pair.certificate.members == (
+        2, 5, 6, 8, 13, 14, 15, 17, 18, 19, 20, 22, 23, 24, 29, 31, 32, 35,
+    )
+    weak = max_free_density_exact([three_ap()], 20, ignore_constant_configs=True)
+    assert weak.value == Fraction(1, 4)
+    assert weak.certificate.members == (11, 12, 16, 18, 19)
+    assert weak.detail == {"edges": 170}
+
+
+def _max_independent_bb_reference(n, edges, node_budget=2_000_000):
+    """Reference branch and bound: bound by |avail| alone, scan every edge per node."""
+    edge_masks = [0 for _ in edges]
+    for idx, e in enumerate(edges):
+        m = 0
+        for v in e:
+            m |= 1 << v
+        edge_masks[idx] = m
+    full = (1 << n) - 1
+    best = {"mask": 0, "size": -1, "nodes": 0}
+
+    def popcount(x: int) -> int:
+        return bin(x).count("1")
+
+    def recurse(avail: int) -> None:
+        best["nodes"] += 1
+        if best["nodes"] > node_budget:
+            raise ValueError("branch-and-bound node budget exceeded")
+        if popcount(avail) <= best["size"]:
+            return
+        live = next((m for m in edge_masks if m & avail == m), None)
+        if live is None:
+            size = popcount(avail)
+            if size > best["size"]:
+                best["size"], best["mask"] = size, avail
+            return
+        v = live & avail
+        while v:
+            bit = v & -v
+            recurse(avail & ~bit)
+            v &= v - 1
+
+    recurse(full)
+    return best["mask"], best["size"]
+
+
+FREE_SYSTEMS = [
+    dilate_pair(2),
+    dilate_pair(3),
+    three_ap(),
+    kernel_system((1, 1, -3)),
+    LinearFormSystem(((1, 0), (0, 1), (1, 1))),
+]
+
+
+@given(
+    st.lists(st.sampled_from(range(len(FREE_SYSTEMS))), min_size=1, max_size=3, unique=True),
+    st.integers(1, 16),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_branch_and_bound_matches_reference(picks, n, ignore_constant_configs):
+    # The disjoint-edge bound prunes only subtrees without a strict
+    # improvement, so the first maximum set in DFS order is unchanged.
+    edges = _forbidden_edges([FREE_SYSTEMS[i] for i in picks], n, ignore_constant_configs)
+    assert _max_independent_bb(n, edges) == _max_independent_bb_reference(n, edges)
+
+
+def _unit_dilation_free_density(k, n):
+    """d_(x, kx)(Z/N) for gcd(k, N) = 1: x -> kx permutes Z/N into cycles, a
+    fixed point is a forbidden singleton, and a cycle of length L >= 2 holds
+    at most floor(L / 2) elements of a free set."""
+    seen, size = set(), 0
+    for x in range(n):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = k * x % n
+            length += 1
+        size += length // 2
+    return Fraction(size, n)
+
+
+def test_branch_and_bound_reaches_past_the_old_node_budget():
+    # Both cases exceed the default node budget under the |avail| bound alone.
+    pair = max_free_density_exact([dilate_pair(2)], 45)
+    assert pair.value == _unit_dilation_free_density(2, 45) == Fraction(22, 45)
+    assert sol_count(pair.certificate, dilate_pair(2)).count == 0
+    weak = max_free_density_exact([three_ap()], 19, ignore_constant_configs=True)
+    assert weak.value == Fraction(6, 19)
+    # At odd N a set holds only its |A| constant 3APs when it is free, so no
+    # free 7-set exists iff every set of at least 7 elements holds more.
+    assert sol_count(weak.certificate, three_ap()).count == 6
+    assert min_sol_exact(three_ap(), Fraction(7, 19), 19).value > Fraction(7, 19**2)
+
+
+def test_branch_and_bound_node_budget_still_raises():
+    with pytest.raises(ValueError, match="node budget"):
+        max_free_density_exact([three_ap()], 20, ignore_constant_configs=True, node_budget=10)
 
 
 @pytest.mark.parametrize("solver", [max_free_density_exact, max_free_density_heuristic])
