@@ -6,6 +6,12 @@ Coordinates of the second kind (peel off exp(t_1 X_1), then exp(t_2 X_2),
 ...) identify the lattice with the integer-coordinate elements and each
 level subgroup with a coordinate tail.  All arithmetic is Fractions; no
 floating point ever touches a group element.
+
+Exponentials are polynomials with precomputed terms (``exp_terms``): the
+model keeps the terms of each basis matrix and an element keeps those of
+its log, so ``basis_element(a, t)``, ``g ** k`` and ``g.root(q)`` are a
+few scalar multiply-adds, with no matrix product.  The built-in models use
+matrix units, for which ``basis_element(a, t)`` is I + t X_a.
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ from typing import Sequence
 from .matrices import (
     Matrix,
     RationalSpan,
-    frac,
+    exp_poly,
+    exp_terms,
     is_strictly_upper,
     is_unitriangular,
     mat,
     mat_commutator,
     mat_identity,
     mat_mul,
-    mat_scale,
     nilpotent_exp,
     nilpotent_log,
     unitriangular_inverse,
@@ -76,8 +82,8 @@ class UnitriangularElement:
     def __pow__(self, k: int) -> "UnitriangularElement":
         if k == 0:
             return UnitriangularElement.identity(self.dim)
-        # exp(k log g) equals g^k and costs one exp regardless of k
-        return UnitriangularElement(nilpotent_exp(mat_scale(k, self.log())))
+        # g^k = exp(k log g), a polynomial in k whatever the size of k
+        return UnitriangularElement(exp_poly(self._log_terms(), self.dim, k))
 
     def log(self) -> Matrix:
         cached = self.__dict__.get("_log")
@@ -86,11 +92,18 @@ class UnitriangularElement:
             object.__setattr__(self, "_log", cached)
         return cached
 
+    def _log_terms(self):
+        cached = self.__dict__.get("_log_exp_terms")
+        if cached is None:
+            cached = exp_terms(self.log())
+            object.__setattr__(self, "_log_exp_terms", cached)
+        return cached
+
     def root(self, q: int) -> "UnitriangularElement":
         """The exact q-th root exp(log(g)/q)."""
         if q == 0:
             raise ValueError("zeroth root")
-        return UnitriangularElement(nilpotent_exp(mat_scale(Fraction(1, q), self.log())))
+        return UnitriangularElement(exp_poly(self._log_terms(), self.dim, Fraction(1, q)))
 
     def is_identity(self) -> bool:
         return self.entries == mat_identity(self.dim)
@@ -240,8 +253,12 @@ class FilteredNilmanifoldModel:
         return UnitriangularElement.identity(self.kappa)
 
     def basis_element(self, index: int, t) -> UnitriangularElement:
-        """exp(t X_{index+1})."""
-        return UnitriangularElement(nilpotent_exp(mat_scale(frac(t), self.basis[index])))
+        """exp(t X_{index+1}), a polynomial in t."""
+        terms = self.__dict__.get("_basis_terms")
+        if terms is None:
+            terms = tuple(exp_terms(b) for b in self.basis)
+            object.__setattr__(self, "_basis_terms", terms)
+        return UnitriangularElement(exp_poly(terms[index], self.kappa, t))
 
     def from_coords(self, coords: Sequence) -> UnitriangularElement:
         """exp(t_1 X_1) exp(t_2 X_2) ... exp(t_m X_m)."""

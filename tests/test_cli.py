@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,23 @@ def test_nil_build_periodic(capsys):
     assert payload["verification"]["irrational"] is True
     sums = payload["verification"]["levelOneCharacterSums"]
     assert all(v == [0.0, 0.0] for v in sums.values())
+
+
+@pytest.mark.parametrize(
+    "model, q, bound, pinned",
+    [
+        ("torus:m=2,s=2", 17, 2, "nil_build_torus_m2_s2_q17_A2_seed1.json"),
+        ("heisenberg-deg3", 67, 2, "nil_build_heisenberg-deg3_q67_A2_seed1.json"),
+        ("heisenberg-lcs", 11, 1, "nil_build_heisenberg-lcs_q11_A1_seed1.json"),
+    ],
+)
+def test_nil_build_periodic_output_pinned(capsys, model, q, bound, pinned):
+    """Seeded ``--verify full`` output, byte for byte, as the dense matrix kernels gave it."""
+    argv = ["nil", "build-periodic", "--model", model, "--q", str(q), "--A", str(bound),
+            "--seed", "1", "--verify", "full"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / pinned).read_text(encoding="utf-8")
 
 
 def test_scan_command(capsys, system_file, tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclicforms.nil import (
@@ -27,7 +27,16 @@ from cyclicforms.nil import (
     taylor_expand,
     torus,
 )
-from cyclicforms.nil.matrices import nilpotent_exp, nilpotent_log
+from cyclicforms.nil.matrices import (
+    exp_poly,
+    exp_terms,
+    frac,
+    mat_add,
+    mat_identity,
+    mat_mul,
+    nilpotent_exp,
+    nilpotent_log,
+)
 
 rationals = st.fractions(
     max_denominator=6, min_value=Fraction(-5), max_value=Fraction(5)
@@ -68,6 +77,119 @@ def test_log_exp_round_trip_4x4(vals):
     assert nilpotent_log(g) == x
     back = nilpotent_exp(nilpotent_log(g))
     assert back == g
+
+
+def test_numpy_integers_are_exact_rationals():
+    assert frac(np.int64(-3)) == Fraction(-3) and type(frac(np.int32(2))) is Fraction
+    m = heisenberg_lcs()
+    g = m.from_coords([np.int64(1), 0, np.int64(2)])
+    assert g.entries == m.from_coords([1, 0, 2]).entries
+    assert (g ** np.int64(2)).entries == (g * g).entries
+    for bad in (np.float64(1.0), 1.0):
+        with pytest.raises(TypeError):
+            frac(bad)
+        with pytest.raises(TypeError):
+            m.from_coords([bad, 0, 0])
+        with pytest.raises(TypeError):
+            g ** (2 * bad)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against the dense formulas they replace
+
+
+def _mat_mul_reference(a, b):
+    """The dense product: every entry is a full row-by-column sum."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def _nilpotent_exp_reference(x):
+    """The dense series I + sum_{k < n} X^k/k!, one product per term."""
+    n = len(x)
+    out = term = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    for k in range(1, n):
+        term = tuple(tuple(v / k for v in row) for row in _mat_mul_reference(term, x))
+        out = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(out, term))
+    return out
+
+
+def _dense_power(base, k):
+    out = mat_identity(len(base))
+    for _ in range(k):
+        out = _mat_mul_reference(out, base)
+    return out
+
+
+# zeros and ones are a third of the entries each, as in unitriangular products
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), rationals)
+
+
+@st.composite
+def _sparse_matrix_pairs(draw):
+    n, k, w = (draw(st.integers(1, 5)) for _ in range(3))
+    a = tuple(tuple(draw(sparse_entries) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(draw(sparse_entries) for _ in range(w)) for _ in range(k))
+    return a, b
+
+
+@st.composite
+def _strictly_upper(draw, sizes=(4, 5)):
+    n = draw(st.sampled_from(sizes))
+    return tuple(
+        tuple(draw(sparse_entries) if j > i else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def _unitriangular(draw):
+    x = draw(_strictly_upper(sizes=(3, 4, 5)))
+    return UnitriangularElement(
+        tuple(tuple(Fraction(1) if i == j else v for j, v in enumerate(row))
+              for i, row in enumerate(x))
+    )
+
+
+@given(_sparse_matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_sparse_product_matches_dense(pair):
+    a, b = pair
+    prod = mat_mul(a, b)
+    assert prod == _mat_mul_reference(a, b)
+    assert all(type(v) is Fraction for row in prod for v in row)
+    if len(a[0]) == len(b[0]) and len(a) == len(b):
+        assert mat_add(a, b) == tuple(
+            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        )
+
+
+@given(_strictly_upper(), rationals)
+@settings(max_examples=200, deadline=None)
+def test_polynomial_exp_matches_series(x, t):
+    assume(any(v for row in _mat_mul_reference(x, x) for v in row))  # X^2 != 0
+    assert len(exp_terms(x)) >= 2
+    assert nilpotent_exp(x) == _nilpotent_exp_reference(x)
+    tx = tuple(tuple(t * v for v in row) for row in x)
+    assert exp_poly(exp_terms(x), len(x), t) == _nilpotent_exp_reference(tx)
+
+
+@given(_unitriangular(), st.integers(-6, 6))
+@settings(max_examples=200, deadline=None)
+def test_power_matches_repeated_products(g, k):
+    inv = g.inverse()
+    assert _mat_mul_reference(g.entries, inv.entries) == mat_identity(g.dim)
+    base = g.entries if k >= 0 else inv.entries
+    assert (g**k).entries == _dense_power(base, abs(k))
+
+
+@given(_unitriangular(), st.integers(-6, 6).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_root_power_round_trip(g, q):
+    root = g.root(q)
+    assert root**q == g
+    base = root.entries if q > 0 else root.inverse().entries
+    assert _dense_power(base, abs(q)) == g.entries
 
 
 def test_malcev_coords_examples():
@@ -211,6 +333,26 @@ def test_taylor_round_trip_random():
                 x.entries == y.entries
                 for x, y in zip(back.coefficients, p.coefficients)
             )
+
+
+@st.composite
+def _level_polynomials(draw):
+    name = draw(st.sampled_from(["heisenberg-lcs", "heisenberg-deg3", "torus:m=2,s=2"]))
+    model = model_by_name(name)
+    coeffs = []
+    for i in range(model.degree + 1):
+        cutoff = model.dim - model.level_dim(i)
+        tail = draw(st.lists(rationals, min_size=model.dim - cutoff, max_size=model.dim - cutoff))
+        coeffs.append(model.from_coords([Fraction(0)] * cutoff + tail))
+    return PolynomialSequence(model, tuple(coeffs))
+
+
+@given(_level_polynomials())
+@settings(max_examples=100, deadline=None)
+def test_taylor_expand_inverts_taylor_eval(p):
+    model = p.model
+    back = taylor_expand(model, [taylor_eval(p, n) for n in range(model.degree + 1)])
+    assert back.coefficients == p.coefficients
 
 
 def test_taylor_expand_rejects_non_polynomial_values():
