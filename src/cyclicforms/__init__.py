@@ -38,6 +38,7 @@ from .extremal import (
     weyl_target_density,
 )
 from .forms import (
+    BudgetExceeded,
     KernelPresentation,
     LinearFormSystem,
     as_dependent_pair,

@@ -3,7 +3,9 @@
 Subcommands: sol, gowers, min-sol, max-sol, max-free, construct,
 kernelize, nil, scan, reproduce.  Extremal commands emit JSON
 {value, certificate, method, boundKind, verification}.  Exit codes:
-0 success, 1 input error, 2 budget exhaustion.
+0 success; 1 an input error, a usage error or a failed ``reproduce``;
+2 budget exhaustion: a BudgetExceeded, or a ``scan`` row skipped for its
+budget or ``--budget-ms`` (rows below ``--min-p1`` do not count).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .extremal import (
     multiplicative_free_set,
     weyl_set,
 )
-from .forms import LinearFormSystem, kernelize
+from .forms import BudgetExceeded, LinearFormSystem, kernelize
 from .gowers import gowers_norm
 from .harness import scan_convergence
 from .nil.model import FilteredNilmanifoldModel, model_by_name
@@ -38,14 +40,6 @@ from .periodic import (
     verify_periodicity,
 )
 from .nil.characters import enumerate_characters, is_irrational
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-def _load_system(path: str) -> LinearFormSystem:
-    return LinearFormSystem.load(path)
 
 
 def _load_family(path: str) -> list[LinearFormSystem]:
@@ -86,12 +80,8 @@ def _emit(args, payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _alpha(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def cmd_sol(args) -> int:
-    system = _load_system(args.system)
+    system = LinearFormSystem.load(args.system)
     subset = CyclicSubset.load(args.set)
     if args.fast:
         kp = kernelize(system)
@@ -140,54 +130,33 @@ def _extremal_payload(command: str, result) -> dict:
     return payload
 
 
-def cmd_min_sol(args) -> int:
-    system = _load_system(args.system)
+def cmd_extremal_sol(args) -> int:
+    system = LinearFormSystem.load(args.system)
     mode = "heuristic" if args.heuristic else "exact"
     kw = {"seed": args.seed, "budget": args.budget} if args.heuristic else {}
-    result = min_sol(system, args.alpha, args.n, mode=mode, **kw)
-    _emit(args, _extremal_payload("min-sol", result))
-    return 0
-
-
-def cmd_max_sol(args) -> int:
-    system = _load_system(args.system)
-    mode = "heuristic" if args.heuristic else "exact"
-    kw = {"seed": args.seed, "budget": args.budget} if args.heuristic else {}
-    result = max_sol(system, args.alpha, args.n, mode=mode, **kw)
-    _emit(args, _extremal_payload("max-sol", result))
+    result = args.solver(system, args.alpha, args.n, mode=mode, **kw)
+    _emit(args, _extremal_payload(args.command, result))
     return 0
 
 
 def cmd_max_free(args) -> int:
-    family = _load_family(args.family)
-    if args.heuristic:
-        result = max_free_density_heuristic(
-            family, args.n, seed=args.seed, ignore_constant_configs=args.ignore_constant
-        )
-    else:
-        result = max_free_density_exact(
-            family, args.n, ignore_constant_configs=args.ignore_constant
-        )
+    solver = max_free_density_heuristic if args.heuristic else max_free_density_exact
+    kw = {"seed": args.seed} if args.heuristic else {}
+    result = solver(
+        _load_family(args.family), args.n, ignore_constant_configs=args.ignore_constant, **kw
+    )
     _emit(args, _extremal_payload("max-free", result))
     return 0
 
 
 def cmd_construct(args) -> int:
-    if args.construction == "weyl":
-        subset = weyl_set(args.p, args.k, args.d)
+    if args.construction in ("weyl", "mult"):
+        if args.construction == "weyl":
+            subset = weyl_set(args.p, args.k, args.d)
+        else:
+            subset = multiplicative_free_set(args.k, args.p)
         payload = {
-            "command": "construct-weyl",
-            "value": str(subset.density),
-            "valueFloat": float(subset.density),
-            "certificate": {"modulus": subset.modulus, "members": list(subset.members)},
-            "method": "construction",
-            "boundKind": "lowerBound",
-            "verification": {"solExactlyZero": True},
-        }
-    elif args.construction == "mult":
-        subset = multiplicative_free_set(args.k, args.p)
-        payload = {
-            "command": "construct-mult",
+            "command": f"construct-{args.construction}",
             "value": str(subset.density),
             "valueFloat": float(subset.density),
             "certificate": {"modulus": subset.modulus, "members": list(subset.members)},
@@ -196,7 +165,7 @@ def cmd_construct(args) -> int:
             "verification": {"solExactlyZero": True},
         }
     else:  # interval
-        system = _load_system(args.system)
+        system = LinearFormSystem.load(args.system)
         result = interval_free_set(system, args.n)
         if result is None:
             payload = {
@@ -214,7 +183,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    system = _load_system(args.system)
+    system = LinearFormSystem.load(args.system)
     kp = kernelize(system)
     _emit(
         args,
@@ -266,7 +235,7 @@ def cmd_nil(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    system = _load_system(args.system)
+    system = LinearFormSystem.load(args.system)
     moduli = [int(x) for x in args.moduli.split(",") if x.strip()]
     records, csv_text = scan_convergence(
         system,
@@ -291,11 +260,7 @@ def cmd_scan(args) -> int:
                 "skipped": skipped,
             },
         )
-    if args.budget_ms is not None and skipped:
-        return 2
-    if skipped and len(skipped) == len(records):
-        return 2
-    return 0
+    return 2 if any(r.reason in ("budget", "time") for r in records) else 0
 
 
 def cmd_reproduce(args) -> int:
@@ -317,8 +282,16 @@ def cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclicforms",
         description="solution measures, uniformity norms, extremal sets, periodic nil-orbits",
     )
@@ -340,17 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_gowers)
 
-    for name, fn in (("min-sol", cmd_min_sol), ("max-sol", cmd_max_sol)):
+    for name, solver in (("min-sol", min_sol), ("max-sol", max_sol)):
         p = sub.add_parser(name, help=f"{name} extremal value")
         p.add_argument("--system", required=True)
-        p.add_argument("--alpha", type=_alpha, required=True)
+        p.add_argument("--alpha", type=Fraction, required=True)
         p.add_argument("--n", type=int, required=True)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", action="store_true")
         group.add_argument("--heuristic", action="store_true")
         p.add_argument("--budget", type=int, default=4000)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_extremal_sol, solver=solver)
 
     p = sub.add_parser("max-free", help="maximum free density for a family")
     p.add_argument("--family", required=True)
@@ -395,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="convergence scan over moduli")
     p.add_argument("--system", required=True)
     p.add_argument("--quantity", choices=("m", "M", "d"), required=True)
-    p.add_argument("--alpha", type=_alpha, default=Fraction(1, 2))
+    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 2))
     p.add_argument("--moduli", required=True, help="comma-separated list")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--min-p1", type=int, default=1, dest="min_p1")
@@ -413,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

@@ -24,6 +24,7 @@ which is ``numpy.fft.fft(values) / N``.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import KernelPresentation, LinearFormSystem, _walk, check_grid, configurations
+from .forms import (
+    KernelPresentation,
+    LinearFormSystem,
+    _walk,
+    check_budget,
+    check_grid,
+    configurations,
+)
 
 MAGNITUDE_SLACK = 1e-12
 
@@ -40,12 +48,13 @@ def as_fraction(x) -> Fraction:
     """Coerce to an exact Fraction; floats go through their decimal literal.
 
     ``as_fraction(0.4) == Fraction(2, 5)``: densities written as short
-    decimals mean the decimal, not the nearest binary double.
+    decimals mean the decimal, not the nearest binary double.  Integers
+    may be any ``numbers.Integral``, numpy ones included.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
     if isinstance(x, float):
         return Fraction(str(x))
     if isinstance(x, str):
@@ -212,6 +221,7 @@ class SolutionMeasure:
 
 
 DEFAULT_BRUTE_CAP = 10**9
+DUAL_BUDGET = 10**8  # N^k t points in the dual sum of ``sol_fast``
 _ROW_BLOCK = 1 << 18  # unpacked row bytes per slot per prefix chunk: 64 rows at N = 4093
 
 
@@ -379,12 +389,12 @@ def sol_fast(
     fs: Sequence[CyclicFunction],
     system: LinearFormSystem,
     kp: KernelPresentation,
-    dual_budget: int = 10**8,
 ) -> complex:
     """Sol via the dual sum  sum_{u in (Z/N)^k}  prod_i  fhat_i((B^T u)_i).
 
     Requires gcd(N, bad modulus) = 1 so the kernel presentation matches the
-    image.  Matches ``sol_brute`` to 1e-9; cost O(t N log N + N^k t).
+    image.  Matches ``sol_brute`` to 1e-9; cost O(t N log N + N^k t), and
+    BudgetExceeded is raised when N^k t exceeds ``DUAL_BUDGET``.
     """
     n = _check_slots(fs, system)
     if math.gcd(n, kp.bad_modulus) != 1:
@@ -395,8 +405,7 @@ def sol_fast(
         for f in fs:
             out *= f.mean
         return out
-    if n**k * system.t > dual_budget:
-        raise ValueError(f"dual sum over {n}^{k} points exceeds budget")
+    check_budget(f"dual sum of {system.t} slots over {n}^{k} points", n**k * system.t, DUAL_BUDGET)
     hats = [f.dft() for f in fs]
     rows = np.array(kp.matrix, dtype=np.int64)  # k x t
     grid = np.indices((n,) * k).reshape(k, -1)  # k x n^k

@@ -29,7 +29,7 @@ from .counting import (
     has_configuration,
     sol_count,
 )
-from .forms import LinearFormSystem, configurations, image_mod_n, is_invariant
+from .forms import LinearFormSystem, check_budget, configurations, image_mod_n, is_invariant
 from .primes import is_prime, multiplicative_order
 
 
@@ -57,22 +57,24 @@ class ExtremalResult:
 
 
 DEFAULT_SUBSET_BUDGET = 1 << 22
+MAX_BITMASK_N = 62  # largest N whose subsets and configurations are int64 bitmasks
+_CONFIG_CAP = 10**7  # grid points walked to build a configuration table
+_GREEDY_RESTARTS = 8
 
 
 # ---------------------------------------------------------------------------
 # configuration tables
 
 
-def _config_table(system: LinearFormSystem, n: int, cap: int = 10**7):
+def _config_table(system: LinearFormSystem, n: int):
     """Distinct configurations as needed-bitmasks with multiplicities.
 
     A subset given as bitmask B contains a configuration y iff
     needed(y) & ~B == 0 where needed(y) = OR of 1 << y_i.
     """
-    if n > 62:
-        raise ValueError("bitmask path supports N <= 62")
+    check_budget(f"bitmask modulus {n}", n, MAX_BITMASK_N)
     needed = []
-    for phis in configurations(system, n, cap):
+    for phis in configurations(system, n, _CONFIG_CAP):
         chunk = np.zeros(len(phis[0]), dtype=np.int64)
         for phi in phis:
             chunk |= np.int64(1) << phi
@@ -112,8 +114,7 @@ def _exact_scan(
     the first index, so the certificate is the numerically first bitmask
     among the optimal ones.
     """
-    if 1 << n > budget:
-        raise ValueError(f"2^{n} subsets exceed the exact budget")
+    check_budget(f"exact scan over 2^{n} subsets", 1 << n, budget)
     masks, mult = _config_table(system, n)
     counts = np.zeros(1 << n, dtype=np.int32)
     counts[masks] = mult
@@ -147,7 +148,7 @@ def min_sol_exact(
     Evaluates all 2^N subsets at once, every size >= the floor included,
     rather than assuming the minimum sits at the smallest size.  Ties go
     to the numerically first bitmask among the optimal subsets.
-    O(N 2^N) time, O(2^N) memory.
+    O(N 2^N) time, O(2^N) memory; BudgetExceeded when 2^N exceeds ``budget``.
     """
     alpha = as_fraction(alpha)
     size_min = max(0, math.ceil(alpha * n))
@@ -346,8 +347,8 @@ def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 
     def recurse(avail: int, live: int) -> None:
         nonlocal best_mask, best_size, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise ValueError("branch-and-bound node budget exceeded")
+        if nodes > node_budget:  # tested inline: this runs at every node
+            check_budget("branch-and-bound node count", nodes, node_budget)
         size = avail.bit_count()
         rest = live
         while rest and size > best_size:
@@ -379,10 +380,11 @@ def max_free_density_exact(
     Free means no configuration of any system of the family lands in the
     set, including diagonal ones; ``ignore_constant_configs`` weakens
     this to permit configurations whose coordinates all coincide.
+    BudgetExceeded when N exceeds ``MAX_BITMASK_N`` or the search visits
+    more than ``node_budget`` nodes.
     """
     family = list(family)
-    if n > 62:
-        raise ValueError("exact free-density search supports N <= 62")
+    check_budget(f"bitmask modulus {n}", n, MAX_BITMASK_N)
     if not family:
         cert = CyclicSubset.full(n)
         return ExtremalResult(Fraction(1), cert, "exact", "equals", {})
@@ -399,7 +401,6 @@ def max_free_density_heuristic(
     family: Sequence[LinearFormSystem],
     n: int,
     seed: int = 0,
-    restarts: int = 8,
     ignore_constant_configs: bool = False,
 ) -> ExtremalResult:
     """Greedy randomized lower bound for d_F with a verified-free certificate."""
@@ -409,7 +410,7 @@ def max_free_density_heuristic(
     rng = np.random.default_rng(seed)
     edges = _forbidden_edges(family, n, ignore_constant_configs)
     best: set[int] = set()
-    for _ in range(max(1, restarts)):
+    for _ in range(_GREEDY_RESTARTS):
         chosen: set[int] = set()
         for v in rng.permutation(n):
             v = int(v)

@@ -321,19 +321,28 @@ def configurations(system: LinearFormSystem, n: int, cap: int):
 
     Points run in row-major order, first variable most significant, so the
     concatenated output is ``system.evaluate(p, n)`` for p in
-    ``itertools.product(range(n), repeat=D)``.  Raises ValueError before
-    allocating when n <= 0 or n^D exceeds ``cap``.
+    ``itertools.product(range(n), repeat=D)``.  Raises before allocating:
+    ValueError when n <= 0, BudgetExceeded when n^D exceeds ``cap``.
     """
     check_grid(n, system.num_variables, cap)
     return _walk(system.forms, system.num_variables, n, _CHUNK)
 
 
+class BudgetExceeded(RuntimeError):
+    """Work refused as over a cap.  Not a ValueError: the input itself is fine."""
+
+
+def check_budget(work: str, size: int, limit: int) -> None:
+    """The one cap check: BudgetExceeded when ``size`` units of ``work`` exceed ``limit``."""
+    if size > limit:
+        raise BudgetExceeded(f"{work} exceeds the cap of {limit}")
+
+
 def check_grid(n: int, d: int, cap: int) -> None:
-    """Raise ValueError unless 0 < n and the n^d grid fits within ``cap``."""
+    """Raise ValueError unless 0 < n, BudgetExceeded unless n^d <= ``cap``."""
     if n <= 0:
         raise ValueError("modulus must be positive")
-    if n**d > cap:
-        raise ValueError(f"enumeration of {n}^{d} points exceeds cap {cap}")
+    check_budget(f"enumeration of {n}^{d} points", n**d, cap)
 
 
 def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):

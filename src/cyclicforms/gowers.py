@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CyclicFunction, CyclicSubset, sol_brute
-from .forms import LinearFormSystem, pairwise_independent, size
+from .forms import LinearFormSystem, check_budget, pairwise_independent, size
 from .primes import is_prime, smallest_prime_factor
 
 DEFAULT_BUDGET = 5 * 10**8
@@ -73,8 +73,7 @@ def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
     n = len(values)
     if d == 2:
         return float(_u2_fourth_rows(values[None, :])[0])
-    if n ** (d - 2) * n > budget:
-        raise ValueError(f"U^{d} at N={n} exceeds the computation budget")
+    check_budget(f"U^{d} at N={n} ({n}^{d - 1} points)", n ** (d - 1), budget)
     weights = _half_shift_weights(n)
     conj = np.conj(values)
     total = 0.0
@@ -94,7 +93,10 @@ def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
 
 
 def gowers_norm(f: CyclicFunction, d: int, budget: int = DEFAULT_BUDGET) -> float:
-    """||f||_{U^d}; nonnegative, nested in d."""
+    """||f||_{U^d}; nonnegative, nested in d.
+
+    BudgetExceeded when d >= 3 and the N^{d-1} work exceeds ``budget``.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
     if d == 1:
@@ -111,8 +113,7 @@ def gowers_norm_definitional(f: CyclicFunction, d: int, cap: int = 10**8) -> flo
     if d < 1:
         raise ValueError("d must be at least 1")
     n = f.modulus
-    if n ** (d + 1) > cap:
-        raise ValueError(f"definitional U^{d} needs {n}^{d+1} > {cap} grid points")
+    check_budget(f"definitional U^{d} over {n}^{d + 1} points", n ** (d + 1), cap)
     values = np.asarray(f.values)
     real = bool(np.all(values.imag == 0))
     if real:

@@ -24,7 +24,7 @@ from .extremal import (
     max_sol,
     min_sol,
 )
-from .forms import LinearFormSystem, as_dependent_pair
+from .forms import BudgetExceeded, LinearFormSystem, as_dependent_pair
 from .primes import is_prime, smallest_prime_factor
 
 CSV_HEADER = "N,isPrime,p1,quantity,value,method,seed,elapsedMs"
@@ -40,6 +40,7 @@ class ScanRecord:
     method: str
     seed: int
     elapsed_ms: float
+    reason: str | None = None  # why a row was skipped: "prime-floor", "time" or "budget"
 
     def csv_row(self) -> str:
         value = "" if self.value is None else repr(float(self.value))
@@ -83,13 +84,14 @@ def scan_convergence(
 ) -> tuple[list[ScanRecord], str]:
     """Run the quantity over the moduli; returns (records, csv_text).
 
-    Moduli below the requested smallest-prime-factor floor, or whose
-    computation exceeds its budget, yield rows marked skipped and the
-    scan continues; once the cumulative wall time passes ``budget_ms``
-    the remaining moduli are all marked skipped.  An unknown quantity or
-    mode, or an alpha outside [0, 1] for m or M, raises ValueError before
-    the first modulus is run.  With ``out_dir`` the CSV and SVG artifacts
-    are written there.
+    A modulus yields a row marked skipped, and the scan continues, when
+    it is below the requested smallest-prime-factor floor (reason
+    "prime-floor"), when the cumulative wall time has passed
+    ``budget_ms`` (reason "time"), or when its computation raises
+    BudgetExceeded (reason "budget").  Any other error propagates.  An
+    unknown quantity or mode, or an alpha outside [0, 1] for m or M,
+    raises ValueError before the first modulus is run.  With ``out_dir``
+    the CSV and SVG artifacts are written there.
     """
     if quantity not in ("m", "M", "d"):
         raise ValueError(f"unknown quantity {quantity!r}; use m, M, or d")
@@ -102,36 +104,24 @@ def scan_convergence(
     for n in sorted(moduli):
         t0 = time.perf_counter()
         p1 = smallest_prime_factor(n)
+        result, reason, elapsed = None, None, 0.0
         if p1 < min_prime_factor:
-            records.append(
-                ScanRecord(n, is_prime(n), p1, quantity, None, "skipped", seed, 0.0)
-            )
-            continue
-        if budget_ms is not None and (t0 - scan_start) * 1000 > budget_ms:
-            records.append(
-                ScanRecord(n, is_prime(n), p1, quantity, None, "skipped", seed, 0.0)
-            )
-            continue
-        try:
-            result = _run_quantity(system, quantity, alpha, n, mode, seed)
+            reason = "prime-floor"
+        elif budget_ms is not None and (t0 - scan_start) * 1000 > budget_ms:
+            reason = "time"
+        else:
+            try:
+                result = _run_quantity(system, quantity, alpha, n, mode, seed)
+            except BudgetExceeded:
+                reason = "budget"
             elapsed = (time.perf_counter() - t0) * 1000
-            records.append(
-                ScanRecord(
-                    n,
-                    is_prime(n),
-                    p1,
-                    quantity,
-                    float(result.value),
-                    result.method,
-                    seed,
-                    elapsed,
-                )
-            )
-        except ValueError:
-            elapsed = (time.perf_counter() - t0) * 1000
-            records.append(
-                ScanRecord(n, is_prime(n), p1, quantity, None, "skipped", seed, elapsed)
-            )
+        if result is None:
+            value, method = None, "skipped"
+        else:
+            value, method = float(result.value), result.method
+        records.append(
+            ScanRecord(n, is_prime(n), p1, quantity, value, method, seed, elapsed, reason)
+        )
     csv_text = "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
     if out_dir is not None:
         out = Path(out_dir)

@@ -269,20 +269,23 @@ class FilteredNilmanifoldModel:
             out = out * self.basis_element(a, t)
         return out
 
-    def _peel(self, g: UnitriangularElement, count: int) -> tuple[list[Fraction], UnitriangularElement]:
+    def _coord_at(self, g: UnitriangularElement, j: int) -> Fraction:
+        """Mal'cev coordinate j of g, read from log g: g's coordinates before j vanish."""
         if g.dim != self.kappa:
             raise OutsideGroupError("wrong matrix dimension")
         span: RationalSpan = self._coord_span  # type: ignore[attr-defined]
+        c = span.coordinates(upper_entries(nilpotent_log(g.entries)))
+        if c is None:
+            raise OutsideGroupError("element leaves the basis span")
+        if any(c[a] != 0 for a in range(j)):
+            raise OutsideGroupError("residual has support below the peel index")
+        return c[j]
+
+    def _peel(self, g: UnitriangularElement, count: int) -> tuple[list[Fraction], UnitriangularElement]:
         residual = g
         coords: list[Fraction] = []
         for j in range(count):
-            lg = nilpotent_log(residual.entries)
-            c = span.coordinates(upper_entries(lg))
-            if c is None:
-                raise OutsideGroupError("element leaves the basis span")
-            if any(c[a] != 0 for a in range(j)):
-                raise OutsideGroupError("residual has support below the peel index")
-            t = c[j]
+            t = self._coord_at(residual, j)
             coords.append(t)
             if t != 0:
                 residual = self.basis_element(j, -t) * residual
@@ -355,17 +358,24 @@ class FilteredNilmanifoldModel:
     ) -> tuple[UnitriangularElement, UnitriangularElement]:
         """({g}, [g]) with g = {g}[g], psi({g}) in [0,1)^m, [g] in Gamma.
 
-        Right-multiplying by exp(-a X_j) fixes coordinates before j, so one
-        sweep j = 1..m lands every coordinate in [0, 1).
+        Right-multiplying by exp(-a X_j) fixes coordinates before j and
+        lowers coordinate j by a, so one sweep j = 1..m lands every
+        coordinate in [0, 1).  ``peeled`` is the residual with its settled
+        coordinates peeled from the left; the right multiplication commutes
+        with that peel, so each coordinate costs one log.
         """
-        residual = g
+        residual = peeled = g
         int_parts: list[int] = []
         for j in range(self.dim):
-            t = self.head_coords(residual, j + 1)[j]
+            t = self._coord_at(peeled, j)
             a = math.floor(t)
             int_parts.append(a)
             if a != 0:
-                residual = residual * self.basis_element(j, -a)
+                step = self.basis_element(j, -a)
+                residual = residual * step
+                peeled = peeled * step
+            if t != a:
+                peeled = self.basis_element(j, a - t) * peeled
         lattice = self.identity()
         for j in reversed(range(self.dim)):
             if int_parts[j] != 0:

@@ -20,6 +20,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .counting import as_fraction
 from .nil.characters import LevelCharacter, element_irrational, is_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
@@ -62,7 +63,7 @@ def irrational_qth_root(
     r = model.block_rank(i)
     if r == 0:
         return model.identity()
-    bound_f = Fraction(str(bound)) if not isinstance(bound, (int, Fraction)) else Fraction(bound)
+    bound_f = as_fraction(bound)
     _require(q >= (2 * bound_f) ** r, f"need q >= (2A)^r_i = {(2 * bound_f) ** r}")
     _require(smallest_prime_factor(q) >= bound_f, f"need p_1({q}) >= {bound}")
     a_int = int(bound_f)  # |k|_1 <= A has integer solutions only up to floor(A)
@@ -197,7 +198,7 @@ def build_periodic_irrational(
     exactly before the sequence is returned.
     """
     _require(not model.prefiltration, "construction needs a genuine filtration")
-    bound_f = Fraction(str(bound)) if not isinstance(bound, (int, Fraction)) else Fraction(bound)
+    bound_f = as_fraction(bound)
     m = model.dim
     s = model.degree
     _require(q >= (2 * bound_f) ** m, f"need q >= (2A)^m = {(2 * bound_f) ** m}")

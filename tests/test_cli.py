@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from cyclicforms import harness
 from cyclicforms.cli import main
 from cyclicforms.counting import CyclicSubset
-from cyclicforms.forms import three_ap, dilate_pair, kernel_system
+from cyclicforms.forms import dilate_pair, four_ap, kernel_system, three_ap
 
 
 @pytest.fixture()
@@ -269,4 +270,95 @@ def test_scan_alpha_out_of_range_is_an_input_error(capsys, system_file):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def _save_set(tmp_path, n):
+    path = tmp_path / f"set{n}.txt"
+    CyclicSubset(n, (0, 1)).save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-sol", "--system", "{3ap}", "--alpha", "2/5", "--n", "30"],
+        ["sol", "--system", "{3ap}", "--set", "{set40000}"],
+        ["gowers", "--set", "{set200}", "--d", "5"],
+        ["sol", "--fast", "--system", "{4ap}", "--set", "{set5003}"],
+        ["max-free", "--family", "{family}", "--n", "63"],
+    ],
+    ids=["min-sol", "sol", "gowers", "sol-fast", "max-free"],
+)
+def test_caps_exit_2(capsys, tmp_path, argv):
+    files = {
+        "3ap": str(tmp_path / "3ap.json"),
+        "4ap": str(tmp_path / "4ap.json"),
+        "family": str(tmp_path / "fam.json"),
+        "set40000": _save_set(tmp_path, 40000),
+        "set200": _save_set(tmp_path, 200),
+        "set5003": _save_set(tmp_path, 5003),
+    }
+    Path(files["3ap"]).write_text(three_ap().to_json())
+    Path(files["4ap"]).write_text(four_ap().to_json())
+    Path(files["family"]).write_text(json.dumps([json.loads(dilate_pair(2).to_json())]))
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("budget exhausted: ")
+    assert captured.out == ""
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in (["sol", "--system", "x.json"], ["--bogus"], ["scan", "--quantity", "z"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def _scan_json(capsys, system_file, *args):
+    code = main(["scan", "--system", system_file, "--quantity", "m", "--alpha", "2/5", *args])
+    payload = json.loads(capsys.readouterr().out)
+    rows = [row.rsplit(",", 1)[0] for row in payload["rows"]]  # drop elapsedMs
+    return code, rows, payload["skipped"]
+
+
+def test_scan_prime_floor_skips_exit_0(capsys, system_file):
+    code, rows, skipped = _scan_json(capsys, system_file, "--moduli", "5,6,7", "--min-p1", "3")
+    assert code == 0
+    assert rows == [
+        "5,1,5,m,0.08,exact,0",
+        "6,0,2,m,,skipped,0",
+        "7,1,7,m,0.061224489795918366,exact,0",
+    ]
+    assert skipped == [6]
+
+
+def test_scan_oversized_modulus_exits_2_with_the_same_rows(capsys, system_file):
+    code, rows, skipped = _scan_json(capsys, system_file, "--moduli", "5,23")
+    assert code == 2
+    assert rows == ["5,1,5,m,0.08,exact,0", "23,1,23,m,,skipped,0"]
+    assert skipped == [23]
+
+
+def test_scan_input_error_inside_a_modulus_exits_1(capsys, monkeypatch, system_file):
+    run_quantity = harness._run_quantity
+
+    def bad_at_7(system, quantity, alpha, n, mode, seed):
+        if n == 7:
+            raise ValueError("not a budget")
+        return run_quantity(system, quantity, alpha, n, mode, seed)
+
+    monkeypatch.setattr(harness, "_run_quantity", bad_at_7)
+    code = main(
+        ["scan", "--system", system_file, "--quantity", "m", "--alpha", "2/5", "--moduli", "5,7"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: not a budget\n"
     assert captured.out == ""

@@ -19,7 +19,9 @@ from cyclicforms.counting import (
     sol_count,
     sol_fast,
 )
+from cyclicforms.extremal import min_sol_exact
 from cyclicforms.forms import (
+    BudgetExceeded,
     LinearFormSystem,
     dilate_pair,
     four_ap,
@@ -35,6 +37,13 @@ def test_as_fraction_decimal_semantics():
     assert as_fraction(0.4) == Fraction(2, 5)
     assert as_fraction("3/7") == Fraction(3, 7)
     assert as_fraction(1) == 1
+
+
+def test_as_fraction_accepts_numpy_scalars():
+    assert as_fraction(np.int64(3)) == 3 and isinstance(as_fraction(np.int64(3)), Fraction)
+    assert as_fraction(np.float64(0.4)) == Fraction(2, 5)
+    assert min_sol_exact(three_ap(), np.int64(0), 5).value == 0
+    assert min_sol_exact(three_ap(), np.float64(0.4), 5).value == Fraction(2, 25)
 
 
 def test_cyclic_function_validation():
@@ -212,7 +221,7 @@ def test_has_configuration_early_exit():
 def test_brute_cap():
     system = three_ap()
     f = CyclicFunction.constant(1.0, 101)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         sol_brute([f] * 3, system, cap=100)
 
 
@@ -330,7 +339,7 @@ def test_sol_count_cap_is_checked_before_allocation():
     a = CyclicSubset.full(100)
 
     def over_cap():
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(BudgetExceeded, match="enumeration of 100"):
             sol_count(a, four_ap(), cap=10**3)
 
     assert _peak_bytes(over_cap) < 2**20

@@ -26,6 +26,7 @@ from cyclicforms.extremal import (
     weyl_target_density,
 )
 from cyclicforms.forms import (
+    BudgetExceeded,
     LinearFormSystem,
     dilate_pair,
     four_ap,
@@ -102,9 +103,9 @@ def test_exact_budget_checked_before_any_table(monkeypatch):
         raise AssertionError("configuration table built past the subset budget")
 
     monkeypatch.setattr(extremal, "_config_table", no_table)
-    with pytest.raises(ValueError, match="exact budget"):
+    with pytest.raises(BudgetExceeded, match="2\\^23 subsets"):
         min_sol_exact(three_ap(), Fraction(2, 5), 23)
-    with pytest.raises(ValueError, match="exact budget"):
+    with pytest.raises(BudgetExceeded, match="2\\^23 subsets"):
         max_sol_exact(three_ap(), Fraction(2, 5), 23)
 
 
@@ -314,7 +315,7 @@ def test_branch_and_bound_reaches_past_the_old_node_budget():
 
 
 def test_branch_and_bound_node_budget_still_raises():
-    with pytest.raises(ValueError, match="node budget"):
+    with pytest.raises(BudgetExceeded, match="branch-and-bound node count"):
         max_free_density_exact([three_ap()], 20, ignore_constant_configs=True, node_budget=10)
 
 

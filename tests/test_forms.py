@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclicforms import forms
 from cyclicforms.forms import (
+    BudgetExceeded,
     LinearFormSystem,
     as_dependent_pair,
     configurations,
@@ -198,7 +199,7 @@ def test_image_mod_n_examples():
     assert len(image_mod_n(three_ap(), 3)) == 9
     assert image_mod_n(LinearFormSystem(((1,),)), 5) == {(x,) for x in range(5)}
     assert image_mod_n(dilate_pair(2), 5) == {(a, 2 * a % 5) for a in range(5)}
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         image_mod_n(four_ap(), 100, cap=10**3)
 
 
@@ -228,7 +229,7 @@ def test_configurations_walk_the_grid_in_product_order(rows, n, chunk):
 def test_configurations_reject_before_walking():
     with pytest.raises(ValueError, match="positive"):
         next(configurations(three_ap(), 0, 10))
-    with pytest.raises(ValueError, match="exceeds cap"):
+    with pytest.raises(BudgetExceeded, match="enumeration of 4"):
         next(configurations(three_ap(), 4, 15))
 
 
@@ -236,7 +237,7 @@ def test_kernel_mod_n_cap_checked_before_allocating():
     kp = kernelize(four_ap())  # t = 4: 60^4 = 1.3e7 points, over the 10^7 cap
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(BudgetExceeded, match="enumeration of 60"):
             kp.kernel_mod_n(60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

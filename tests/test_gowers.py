@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cyclicforms import gowers
 from cyclicforms.counting import CyclicFunction, CyclicSubset
-from cyclicforms.forms import four_ap, three_ap, dilate_pair
+from cyclicforms.forms import BudgetExceeded, four_ap, three_ap, dilate_pair
 from cyclicforms.gowers import (
     gowers_norm,
     gowers_norm_definitional,
@@ -107,7 +107,7 @@ def test_budget_checked_before_allocating():
     f = CyclicFunction.constant(0.5, 101)
 
     def over_budget():
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(BudgetExceeded, match="U\\^4"):
             gowers_norm(f, 4, budget=10**3)
 
     assert _peak_bytes(over_budget) < 1 << 20
@@ -125,9 +125,9 @@ def test_modulation_and_translation_invariance():
 
 def test_budget_guards():
     f = CyclicFunction.constant(0.5, 101)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         gowers_norm(f, 4, budget=10**3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         gowers_norm_definitional(f, 3, cap=10**4)
     with pytest.raises(ValueError):
         gowers_norm(f, 0)

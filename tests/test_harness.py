@@ -63,16 +63,30 @@ def test_scan_skips_below_prime_floor():
     records, _ = scan_convergence(
         three_ap(), "m", Fraction(2, 5), [5, 6, 7], min_prime_factor=3
     )
-    methods = {r.n: r.method for r in records}
-    assert methods[6] == "skipped"
-    assert methods[5] == "exact"
+    methods = {r.n: (r.method, r.reason) for r in records}
+    assert methods[6] == ("skipped", "prime-floor")
+    assert methods[5] == ("exact", None)
 
 
 def test_scan_marks_oversized_rows_skipped():
     records, _ = scan_convergence(three_ap(), "m", Fraction(2, 5), [5, 10**6])
-    methods = {r.n: r.method for r in records}
-    assert methods[10**6] == "skipped"
-    assert methods[5] == "exact"
+    methods = {r.n: (r.method, r.reason) for r in records}
+    assert methods[10**6] == ("skipped", "budget")
+    assert methods[5] == ("exact", None)
+
+
+def test_scan_marks_rows_past_the_time_budget_skipped():
+    records, _ = scan_convergence(three_ap(), "m", Fraction(2, 5), [5, 7], budget_ms=-1)
+    assert [(r.method, r.reason, r.elapsed_ms) for r in records] == [("skipped", "time", 0.0)] * 2
+
+
+def test_scan_propagates_errors_that_are_not_budget_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a budget")
+
+    monkeypatch.setattr(harness, "_run_quantity", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        scan_convergence(three_ap(), "m", Fraction(2, 5), [5])
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -219,12 +220,27 @@ def test_outside_group_detection():
     assert not m.in_group(bad)
 
 
+def _frac_int_parts_reference(model, g):
+    """The sweep re-peeling coordinates 1..j of the residual for each j."""
+    residual, int_parts = g, []
+    for j in range(model.dim):
+        a = math.floor(model.head_coords(residual, j + 1)[j])
+        int_parts.append(a)
+        residual = residual * model.basis_element(j, -a)
+    lattice = model.identity()
+    for j in reversed(range(model.dim)):
+        lattice = lattice * model.basis_element(j, int_parts[j])
+    return residual, lattice
+
+
 def test_frac_int_parts_contract():
     rng = np.random.default_rng(4)
     for model in (heisenberg_lcs(), heisenberg_deg3(), torus(3, 2)):
         for _ in range(60):
             g, _ = _random_element(model, rng)
             frac_part, int_part = model.frac_int_parts(g)
+            ref_frac, ref_int = _frac_int_parts_reference(model, g)
+            assert (frac_part.entries, int_part.entries) == (ref_frac.entries, ref_int.entries)
             coords = model.malcev_coords(frac_part)
             assert all(0 <= c < 1 for c in coords)
             assert model.in_lattice(int_part)
