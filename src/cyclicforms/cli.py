@@ -282,6 +282,14 @@ def cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
+def _fraction(text: str) -> Fraction:
+    """``--alpha`` parser: a malformed or zero-denominator fraction is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, as input errors do."""
 
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, solver in (("min-sol", min_sol), ("max-sol", max_sol)):
         p = sub.add_parser(name, help=f"{name} extremal value")
         p.add_argument("--system", required=True)
-        p.add_argument("--alpha", type=Fraction, required=True)
+        p.add_argument("--alpha", type=_fraction, required=True)
         p.add_argument("--n", type=int, required=True)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", action="store_true")
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="convergence scan over moduli")
     p.add_argument("--system", required=True)
     p.add_argument("--quantity", choices=("m", "M", "d"), required=True)
-    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--moduli", required=True, help="comma-separated list")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--min-p1", type=int, default=1, dest="min_p1")

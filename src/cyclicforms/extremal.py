@@ -4,7 +4,7 @@ Exact solvers enumerate subsets (or run branch and bound on the
 forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
 solvers are seeded annealing searches whose results are certificate-backed
-bounds.
+bounds, and the count the annealer tracks is re-verified the same way.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -81,11 +81,6 @@ def _config_table(system: LinearFormSystem, n: int):
         needed.append(chunk)
     masks, mult = np.unique(np.concatenate(needed), return_counts=True)
     return masks, mult.astype(np.int64)
-
-
-def _count_for_mask(masks: np.ndarray, mult: np.ndarray, subset_mask: int) -> int:
-    ok = (masks & ~np.int64(subset_mask)) == 0
-    return int(mult[ok].sum())
 
 
 def _verify_exact(system: LinearFormSystem, subset: CyclicSubset, value: Fraction) -> None:
@@ -178,6 +173,63 @@ def max_sol_exact(
 # annealing
 
 
+_RAW_BLOCK = 1024  # PCG64 words fetched per random_raw call
+
+
+def _replay_draws(rng: np.random.Generator, block: int = _RAW_BLOCK):
+    """Scalar ``rng.integers(k)`` and ``rng.random()`` replayed in Python.
+
+    Returns ``(integers, random)``: ``integers(k)`` for 1 <= k <= 2^32 and
+    ``random()`` give the values the scalar Generator calls would give
+    from rng's current state, without numpy's per-call dispatch.  They
+    replay numpy's own algorithms on raw PCG64 words: ``next_uint32`` with
+    its half-word buffer (taken from ``rng.bit_generator.state``), Lemire's
+    bounded draw with its rejection loop (``integers(1)`` draws nothing),
+    and ``next_double`` = (w >> 11) * 2^-53.  Words are pulled ``block`` at
+    a time through ``random_raw``, so rng itself runs ahead of the replay
+    and must not be drawn from afterwards.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else None
+
+    def words():
+        while True:
+            yield from bitgen.random_raw(block).tolist()
+
+    word = words().__next__
+
+    def uint32():
+        nonlocal half
+        if half is None:
+            w = word()
+            half = w >> 32
+            return w & 0xFFFFFFFF
+        h, half = half, None
+        return h
+
+    def integers(k):
+        if k == 1:
+            return 0
+        m = uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (1 << 32) % k  # numpy's (UINT32_MAX - (k - 1)) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = uint32() * k
+        return m >> 32
+
+    def random():
+        return (word() >> 11) * 2.0**-53
+
+    return integers, random
+
+
+def _bitsets(flags: np.ndarray) -> list[int]:
+    """One Python-int bitset per row of flags, bit p set where flags[row, p] != 0."""
+    packed = np.packbits(np.ascontiguousarray(flags), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _anneal(
     system: LinearFormSystem,
     n: int,
@@ -185,8 +237,21 @@ def _anneal(
     seed: int,
     moves: int,
     minimize: bool,
-):
+) -> tuple[int, int]:
     """Swap-neighborhood annealing at fixed subset size.
+
+    Returns the best subset bitmask seen and its configuration count.
+
+    The energy is exact and incremental.  Over the grid points p (the
+    configuration table with each mask repeated by its multiplicity),
+    ``uses[v]`` is the bitset of configurations through vertex v and
+    ``level[c]`` the bitset of configurations with exactly c distinct
+    vertices outside the current set, so the count is popcount(level[0])
+    and a swap x_out -> x_in changes it by
+    popcount(level[1] & uses[x_in] & ~uses[x_out]) - popcount(level[0] & uses[x_out]):
+    the same integer a full recount gives.  The seeded draws replay
+    numpy's scalar stream (``_replay_draws``), so a move makes no numpy call
+    and the trajectory is the one ``rng.integers``/``rng.random`` give.
 
     The cooling schedule depends only on the move index, so doubling the
     budget extends the same trajectory: best-so-far is monotone in the
@@ -197,31 +262,58 @@ def _anneal(
     total = n**system.num_variables
     sign = 1 if minimize else -1
 
-    members = list(rng.permutation(n)[:size])
-    outside = [x for x in range(n) if x not in set(members)]
+    members = [int(x) for x in rng.permutation(n)[:size]]
     mask = 0
     for x in members:
-        mask |= 1 << int(x)
-    energy = sign * _count_for_mask(masks, mult, mask)
-    best_energy, best_mask = energy, mask
+        mask |= 1 << x
+    outside = [x for x in range(n) if not (mask >> x) & 1]
 
+    grid = np.repeat(masks, mult)
+    grid_bytes = grid.astype("<i8").view(np.uint8).reshape(-1, 8)
+    uses = []
+    for b in range((n + 7) // 8):  # a byte column at a time: 16 temporary bytes per grid point
+        uses += _bitsets(np.unpackbits(grid_bytes[:, b : b + 1], axis=1, bitorder="little").T)
+    del uses[n:]
+    top = int(np.bitwise_count(masks).max())
+    outside_count = np.bitwise_count(grid & ~np.int64(mask))
+    level = _bitsets(outside_count == np.arange(top + 1)[:, None])
+    energy = sign * level[0].bit_count()
+    best_energy, best_mask = energy, mask
+    if not members or not outside:
+        return best_mask, sign * best_energy
+
+    integers, random = _replay_draws(rng)
+    n_in, n_out = len(members), len(outside)
     t0, cooling, t_floor = 0.08, 0.999, 1e-6
     for step in range(moves):
-        if not members or not outside:
-            break
-        temp = max(t0 * cooling**step, t_floor)
-        i = int(rng.integers(len(members)))
-        j = int(rng.integers(len(outside)))
+        i = integers(n_in)
+        j = integers(n_out)
         x_out, x_in = members[i], outside[j]
-        new_mask = (mask & ~(1 << int(x_out))) | (1 << int(x_in))
-        new_energy = sign * _count_for_mask(masks, mult, new_mask)
-        delta = (new_energy - energy) / total
-        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+        z_out, z_in = uses[x_out], uses[x_in]
+        through_in = level[1] & z_in
+        gained = (through_in ^ (through_in & z_out)).bit_count()
+        lost = (level[0] & z_out).bit_count()
+        change = sign * (gained - lost)
+        delta = change / total
+        if delta <= 0 or random() < math.exp(-delta / max(t0 * cooling**step, t_floor)):
             members[i], outside[j] = x_in, x_out
-            mask, energy = new_mask, new_energy
+            mask ^= (1 << x_out) | (1 << x_in)
+            energy += change
+            # x_in joins the set: configurations through it drop one level
+            moved = 0
+            for c in range(top, -1, -1):
+                here = level[c] & z_in
+                level[c] ^= here ^ moved
+                moved = here
+            # x_out leaves: configurations through it climb one level
+            moved = 0
+            for c in range(top + 1):
+                here = level[c] & z_out
+                level[c] ^= here ^ moved
+                moved = here
             if energy < best_energy:
                 best_energy, best_mask = energy, mask
-    return best_mask
+    return best_mask, sign * best_energy
 
 
 def min_sol_heuristic(
@@ -236,9 +328,10 @@ def min_sol_heuristic(
     size = max(0, math.ceil(alpha * n))
     if size > n:
         raise ValueError("alpha N exceeds N")
-    mask = _anneal(system, n, size, seed, budget, minimize=True)
+    mask, count = _anneal(system, n, size, seed, budget, minimize=True)
     cert = _mask_to_subset(n, mask)
-    value = sol_count(cert, system).fraction
+    value = Fraction(count, n**system.num_variables)
+    _verify_exact(system, cert, value)
     return ExtremalResult(value, cert, "heuristic", "upperBound", {"seed": seed, "moves": budget})
 
 
@@ -252,9 +345,12 @@ def max_sol_heuristic(
     """Certificate-backed lower bound on M(alpha, N) by seeded annealing."""
     alpha = as_fraction(alpha)
     size = min(n, math.floor(alpha * n))
-    mask = _anneal(system, n, size, seed, budget, minimize=False)
+    if size < 0:
+        raise ValueError("alpha must be non-negative")
+    mask, count = _anneal(system, n, size, seed, budget, minimize=False)
     cert = _mask_to_subset(n, mask)
-    value = sol_count(cert, system).fraction
+    value = Fraction(count, n**system.num_variables)
+    _verify_exact(system, cert, value)
     return ExtremalResult(value, cert, "heuristic", "lowerBound", {"seed": seed, "moves": budget})
 
 

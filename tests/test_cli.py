@@ -321,6 +321,20 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["min-sol", "max-sol", "scan"])
+@pytest.mark.parametrize("alpha", ["1/0", "two"])
+def test_bad_alpha_is_a_usage_error(capsys, system_file, command, alpha):
+    rest = ["--moduli", "5", "--quantity", "m"] if command == "scan" else ["--n", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--system", system_file, "--alpha", alpha, *rest])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"cyclicforms {command}: error: argument --alpha: invalid fraction: {alpha!r}"
+    ]
+    assert "Traceback" not in err
+
+
 def _scan_json(capsys, system_file, *args):
     code = main(["scan", "--system", system_file, "--quantity", "m", "--alpha", "2/5", *args])
     payload = json.loads(capsys.readouterr().out)

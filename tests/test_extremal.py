@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from cyclicforms import extremal
 from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
 from cyclicforms.extremal import (
+    _anneal,
     _config_table,
-    _count_for_mask,
     _forbidden_edges,
     _interval_candidates,
     _max_independent_bb,
+    _replay_draws,
     dependent_pair_exact,
     interval_free_set,
     max_free_density_exact,
@@ -55,6 +57,12 @@ def test_max_sol_edges():
     system = three_ap()
     assert max_sol_exact(system, 1, 6).value == 1
     assert max_sol_exact(system, 0, 6).value == 0
+
+
+def _count_for_mask(masks, mult, subset_mask):
+    """Reference recount: configurations of the table inside a subset bitmask."""
+    ok = (masks & ~np.int64(subset_mask)) == 0
+    return int(mult[ok].sum())
 
 
 def _per_mask_exact(system, alpha, n, minimize):
@@ -162,6 +170,67 @@ def test_heuristic_budget_monotone_same_seed():
 def test_heuristic_alpha_one():
     assert min_sol_heuristic(three_ap(), 1, 9, seed=0).value == 1
     assert max_sol_heuristic(three_ap(), 1, 9, seed=0).value == 1
+
+
+def test_heuristics_alpha_outside_unit_interval_match_exact():
+    system = three_ap()
+    for alpha in (Fraction(-1, 5), Fraction(6, 5)):
+        for exact, heuristic in ((min_sol_exact, min_sol_heuristic), (max_sol_exact, max_sol_heuristic)):
+            try:
+                want = exact(system, alpha, 10)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    heuristic(system, alpha, 10, seed=0, budget=50)
+            else:
+                got = heuristic(system, alpha, 10, seed=0, budget=50)
+                assert got.certificate == want.certificate and got.value == want.value
+
+
+@pytest.mark.parametrize("system", SCAN_SYSTEMS, ids=lambda s: str(s.forms))
+def test_anneal_tracked_energy_matches_recount(system):
+    for n, seed, minimize in ((13, 0, True), (23, 1, False), (31, 2, True), (40, 3, False)):
+        masks, mult = _config_table(system, n)
+        mask, count = _anneal(system, n, (2 * n) // 5, seed, 700, minimize)
+        assert bin(mask).count("1") == (2 * n) // 5
+        assert count == _count_for_mask(masks, mult, mask), (system.forms, n, seed)
+
+
+def _draws_match(seed, prefix, block, ks):
+    """Replayed and scalar Generator draws agree over a random interleaving."""
+    reference = np.random.default_rng(seed)
+    replayed = np.random.default_rng(seed)
+    reference.permutation(prefix)
+    replayed.permutation(prefix)
+    has_half = reference.bit_generator.state["has_uint32"]
+    integers, random = _replay_draws(replayed, block)
+    schedule = np.random.default_rng(seed + 1000)
+    for step in range(400):
+        if schedule.random() < 0.3:
+            want, got, call = reference.random(), random(), "random()"
+        else:
+            k = ks[int(schedule.integers(len(ks)))]
+            want, got, call = int(reference.integers(k)), integers(k), f"integers({k})"
+        assert got == want, (
+            f"numpy {np.__version__}: draw {step} ({call}) replayed as {got!r}, Generator "
+            f"gave {want!r}; numpy's scalar draw algorithms changed, so _replay_draws "
+            "and the pinned annealing certificates need review"
+        )
+    return has_half
+
+
+def test_replay_draws_match_scalar_generator():
+    rng = np.random.default_rng(7)
+    small = [1] + [int(k) for k in rng.integers(2, 63, 20)] + [2, 62]
+    # for 2^31 < k < 2^32 Lemire's method rejects a draw with probability
+    # (2^32 - k) / 2^32, up to 30% here, so its rejection loop runs
+    large = [int(k) for k in rng.integers(3 * 10**9, 2**32, 20)] + [3 * 10**9, 2**32 - 1]
+    halves = set()
+    for seed in range(6):
+        for prefix in (9, 10, 31, 62):
+            for block in (3, 1024):
+                halves.add(_draws_match(seed, prefix, block, small))
+                halves.add(_draws_match(seed, prefix, block, large + [1]))
+    assert halves == {0, 1}
 
 
 def test_max_free_density_examples():
