@@ -84,11 +84,6 @@ class CyclicFunction:
     def constant(cls, c, modulus: int) -> "CyclicFunction":
         return cls(modulus, np.full(modulus, c, dtype=np.complex128))
 
-    @classmethod
-    def from_real(cls, values) -> "CyclicFunction":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(len(arr), arr.astype(np.complex128))
-
     @property
     def mean(self) -> complex:
         return complex(np.mean(self.values))
@@ -100,11 +95,6 @@ class CyclicFunction:
     def is_real_unit_interval(self) -> bool:
         v = self.values
         return bool(np.all(v.imag == 0) and np.all(v.real >= 0) and np.all(v.real <= 1))
-
-    def real_values(self) -> np.ndarray:
-        if not np.all(self.values.imag == 0):
-            raise ValueError("function is not real-valued")
-        return self.values.real
 
     def translate(self, c: int) -> "CyclicFunction":
         """x -> f(x + c)."""
@@ -234,37 +224,33 @@ def _check_slots(fs: Sequence[CyclicFunction | CyclicSubset], system: LinearForm
     return moduli.pop()
 
 
-def _products(values: Sequence[np.ndarray], system: LinearFormSystem, n: int, cap: int):
+def _products(values: Sequence[np.ndarray], system: LinearFormSystem, n: int):
     """Per chunk of the grid, the array prod_i values[i][psi_i(x)]."""
-    for phis in configurations(system, n, cap):
+    for phis in configurations(system, n, DEFAULT_BRUTE_CAP):
         prod = values[0][phis[0]]
         for vals, phi in zip(values[1:], phis[1:]):
             prod *= vals[phi]
         yield prod
 
 
-def sol_brute(
-    fs: Sequence[CyclicFunction],
-    system: LinearFormSystem,
-    cap: int = DEFAULT_BRUTE_CAP,
-) -> SolutionMeasure:
+def sol_brute(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> SolutionMeasure:
     """Sol(f_1, ..., f_t) = E_{n in (Z/N)^D} prod_i f_i(psi_i(n)), exactly as stated.
 
     Indicator inputs take an integer accumulation path and carry the exact
     configuration count in the result; real inputs multiply float64, not
-    complex128.
+    complex128.  BudgetExceeded when N^D exceeds ``DEFAULT_BRUTE_CAP``.
     """
     n = _check_slots(fs, system)
     total = n**system.num_variables
     if all(f.is_indicator() for f in fs):
         inds = [f.values.real.astype(np.uint8) for f in fs]
-        count = sum(int(prod.sum()) for prod in _products(inds, system, n, cap))
+        count = sum(int(prod.sum()) for prod in _products(inds, system, n))
         return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
     values = [f.values for f in fs]
     if not any(v.imag.any() for v in values):
         values = [v.real for v in values]
     acc = 0.0 + 0.0j
-    for prod in _products(values, system, n, cap):
+    for prod in _products(values, system, n):
         acc += complex(prod.sum())
     return SolutionMeasure(value=acc / total, points=total, count=None)
 
@@ -320,7 +306,6 @@ def _row_source(ind: np.ndarray, c: int, n: int):
 def sol_count(
     sets: Sequence[CyclicSubset] | CyclicSubset,
     system: LinearFormSystem,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolutionMeasure:
     """Exact configuration count for indicator sets (one set, or one per slot).
 
@@ -328,14 +313,14 @@ def sol_count(
     such prefix p, slot i's membership along x_j is a row of N bits,
     y -> 1_{A_i}(base_i(p) + c_i y), packed 64 to a word; the count is
     sum_p popcount(AND_i row_i(p)).  Every grid point is still tested, as
-    one bit, so the count is exact.  The cap applies to the full N^D grid
-    and is checked before anything is allocated.
+    one bit, so the count is exact.  ``DEFAULT_BRUTE_CAP`` applies to the
+    full N^D grid and is checked before anything is allocated.
     """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
     n = _check_slots(sets, system)
     d = system.num_variables
-    check_grid(n, d, cap)
+    check_grid(n, d, DEFAULT_BRUTE_CAP)
     j = _eliminated_column(system, n)
     # one indicator per distinct set, one row source per distinct (set, c)
     indicators, sources, slots = {}, {}, []
@@ -372,17 +357,17 @@ def sol_count(
 def has_configuration(
     sets: Sequence[CyclicSubset] | CyclicSubset,
     system: LinearFormSystem,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> bool:
     """True iff some configuration of the system lands in the given sets.
 
-    Early-exits on the first hit, chunk by chunk.
+    Early-exits on the first hit, chunk by chunk.  BudgetExceeded when
+    N^D exceeds ``DEFAULT_BRUTE_CAP``.
     """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
     n = _check_slots(sets, system)
     inds = [s.indicator_array() for s in sets]
-    return any(prod.any() for prod in _products(inds, system, n, cap))
+    return any(prod.any() for prod in _products(inds, system, n))
 
 
 def sol_fast(

@@ -56,7 +56,9 @@ class ExtremalResult:
         }
 
 
-DEFAULT_SUBSET_BUDGET = 1 << 22
+DEFAULT_SUBSET_BUDGET = 1 << 22  # 2^N subsets in the exact scan
+NODE_BUDGET = 2_000_000  # branch-and-bound nodes in ``max_free_density_exact``
+MAX_DENOMINATOR = 64  # largest denominator D0 of an ``interval_free_set`` endpoint
 MAX_BITMASK_N = 62  # largest N whose subsets and configurations are int64 bitmasks
 _CONFIG_CAP = 10**7  # grid points walked to build a configuration table
 _GREEDY_RESTARTS = 8
@@ -94,11 +96,7 @@ def _mask_to_subset(n: int, mask: int) -> CyclicSubset:
 
 
 def _exact_scan(
-    system: LinearFormSystem,
-    n: int,
-    size_bound: int,
-    minimize: bool,
-    budget: int,
+    system: LinearFormSystem, n: int, size_bound: int, minimize: bool
 ) -> ExtremalResult:
     """Best Sol over all subsets of size >= (minimize) or <= (maximize) the bound.
 
@@ -109,7 +107,7 @@ def _exact_scan(
     the first index, so the certificate is the numerically first bitmask
     among the optimal ones.
     """
-    check_budget(f"exact scan over 2^{n} subsets", 1 << n, budget)
+    check_budget(f"exact scan over 2^{n} subsets", 1 << n, DEFAULT_SUBSET_BUDGET)
     masks, mult = _config_table(system, n)
     counts = np.zeros(1 << n, dtype=np.int32)
     counts[masks] = mult
@@ -132,32 +130,23 @@ def _exact_scan(
     return ExtremalResult(value, cert, "exact", "equals", {"count": best_count})
 
 
-def min_sol_exact(
-    system: LinearFormSystem,
-    alpha,
-    n: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> ExtremalResult:
+def min_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
     """Exact m(alpha, N): minimum Sol over subsets of size >= ceil(alpha N).
 
     Evaluates all 2^N subsets at once, every size >= the floor included,
     rather than assuming the minimum sits at the smallest size.  Ties go
     to the numerically first bitmask among the optimal subsets.
-    O(N 2^N) time, O(2^N) memory; BudgetExceeded when 2^N exceeds ``budget``.
+    O(N 2^N) time, O(2^N) memory; BudgetExceeded when 2^N exceeds
+    ``DEFAULT_SUBSET_BUDGET``.
     """
     alpha = as_fraction(alpha)
     size_min = max(0, math.ceil(alpha * n))
     if size_min > n:
         raise ValueError("alpha N exceeds N")
-    return _exact_scan(system, n, size_min, True, budget)
+    return _exact_scan(system, n, size_min, True)
 
 
-def max_sol_exact(
-    system: LinearFormSystem,
-    alpha,
-    n: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> ExtremalResult:
+def max_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
     """Exact M(alpha, N): maximum Sol over subsets of size <= floor(alpha N).
 
     Same scan and tie-break as ``min_sol_exact``: O(N 2^N) time, O(2^N) memory.
@@ -166,7 +155,7 @@ def max_sol_exact(
     size_max = min(n, math.floor(alpha * n))
     if size_max < 0:
         raise ValueError("alpha must be non-negative")
-    return _exact_scan(system, n, size_max, False, budget)
+    return _exact_scan(system, n, size_max, False)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +398,7 @@ def _verify_free(
                 raise AssertionError("certificate contains a forbidden configuration")
 
 
-def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 2_000_000):
+def _max_independent_bb(n: int, edges: list[frozenset[int]]):
     """Exact maximum subset of [0, n) containing no edge entirely.
 
     A node is a candidate set ``avail`` together with ``live``, the bitset
@@ -427,7 +416,7 @@ def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 
     improvement, so the search meets the same improving sets in the same
     DFS order as under the plain |avail| bound, and returns the same one:
     the first maximum free set in DFS order.  Only the node count falls.
-    Every node, pruned or not, counts against ``node_budget``.
+    Every node, pruned or not, counts against ``NODE_BUDGET``.
     """
     edge_masks = [sum(1 << v for v in e) for e in edges]
     incident = [0] * n  # incident[v]: the edges through v
@@ -443,8 +432,8 @@ def _max_independent_bb(n: int, edges: list[frozenset[int]], node_budget: int = 
     def recurse(avail: int, live: int) -> None:
         nonlocal best_mask, best_size, nodes
         nodes += 1
-        if nodes > node_budget:  # tested inline: this runs at every node
-            check_budget("branch-and-bound node count", nodes, node_budget)
+        if nodes > NODE_BUDGET:  # tested inline: this runs at every node
+            check_budget("branch-and-bound node count", nodes, NODE_BUDGET)
         size = avail.bit_count()
         rest = live
         while rest and size > best_size:
@@ -469,7 +458,6 @@ def max_free_density_exact(
     family: Sequence[LinearFormSystem],
     n: int,
     ignore_constant_configs: bool = False,
-    node_budget: int = 2_000_000,
 ) -> ExtremalResult:
     """Exact d_F(Z/N) with a verified-free certificate.
 
@@ -477,7 +465,7 @@ def max_free_density_exact(
     set, including diagonal ones; ``ignore_constant_configs`` weakens
     this to permit configurations whose coordinates all coincide.
     BudgetExceeded when N exceeds ``MAX_BITMASK_N`` or the search visits
-    more than ``node_budget`` nodes.
+    more than ``NODE_BUDGET`` nodes.
     """
     family = list(family)
     check_budget(f"bitmask modulus {n}", n, MAX_BITMASK_N)
@@ -485,7 +473,7 @@ def max_free_density_exact(
         cert = CyclicSubset.full(n)
         return ExtremalResult(Fraction(1), cert, "exact", "equals", {})
     edges = _forbidden_edges(family, n, ignore_constant_configs)
-    mask, size = _max_independent_bb(n, edges, node_budget)
+    mask, size = _max_independent_bb(n, edges)
     cert = _mask_to_subset(n, mask)
     _verify_free(family, cert, ignore_constant_configs)
     return ExtremalResult(
@@ -614,70 +602,36 @@ def dependent_pair_exact(k: int, p: int, alpha=None):
     alpha = as_fraction(alpha)
     size_min = max(0, math.ceil(alpha * p))
     num_cycles = len(cycles)
-    free_capacity = num_cycles * per_cycle
-    if size_min <= free_capacity:
-        # spread across cycles without ever exceeding floor(n/2)
-        base, extra = divmod(size_min, num_cycles)
-        counts = [min(per_cycle, base + (1 if c < extra else 0)) for c in range(num_cycles)]
-        short = size_min - sum(counts)
-        c = 0
-        while short > 0:
-            if counts[c] < per_cycle:
-                counts[c] += 1
-                short -= 1
-            c = (c + 1) % num_cycles
-        use_zero = False
-    else:
-        counts = [per_cycle] * num_cycles
-        remaining = size_min - free_capacity
-        # marginal costs: 1 for the first extra in an odd cycle, 1 for the
-        # zero element, 2 for everything after; spend the cheap ones first
-        cheap: list[tuple[int, str]] = []
-        if order % 2 == 1:
-            cheap.extend([(1, "cycle-first-extra")] * num_cycles)
-        cheap.append((1, "zero"))
-        cheap.sort()
-        use_zero = False
-        for cost, kind in cheap:
-            if remaining == 0:
-                break
-            if kind == "zero":
-                use_zero = True
-                remaining -= 1
-            else:
-                idx = next(
-                    (c for c in range(num_cycles) if counts[c] == per_cycle), None
-                )
-                if idx is None:
-                    continue
-                counts[idx] += 1
-                remaining -= 1
-        # the rest costs 2 per element wherever capacity is left
-        c = 0
-        while remaining > 0:
-            if counts[c] < order:
-                counts[c] += 1
-                remaining -= 1
-            else:
-                c += 1
-                if c == num_cycles:
-                    if not use_zero:
-                        use_zero = True
-                        remaining -= 1
-                        continue
-                    raise ValueError("alpha N exceeds N")
+    # Fill slots in marginal-cost order.  Cost 0: round-robin up to
+    # floor(n/2) per cycle.  Cost 1: one extra per cycle when n is odd, in
+    # cycle order, then the element 0.  Cost 2: the remaining capacity,
+    # cycle by cycle.
+    left = size_min
+    base, extra = divmod(min(left, num_cycles * per_cycle), num_cycles)
+    counts = [base + (c < extra) for c in range(num_cycles)]
+    left -= sum(counts)
+    extras = min(left, num_cycles) if order % 2 == 1 else 0
+    for c in range(extras):
+        counts[c] += 1
+    left -= extras
+    use_zero = left > 0
+    left -= use_zero
+    for c in range(num_cycles):
+        more = min(left, order - counts[c])
+        counts[c] += more
+        left -= more
+    if left:
+        raise ValueError("alpha N exceeds N")
 
     chosen: list[int] = []
     for cyc, j in zip(cycles, counts):
         chosen.extend(_cycle_members(cyc, j, order))
-    if size_min > free_capacity and use_zero:
+    if use_zero:
         chosen.append(0)
     min_cert = CyclicSubset.from_iterable(p, chosen)
     assert len(min_cert) == size_min
     measured = sol_count(min_cert, system)
-    expected = sum(max(0, 2 * j - order) if j < order else order for j in counts)
-    if size_min > free_capacity and use_zero:
-        expected += 1
+    expected = sum(max(0, 2 * j - order) for j in counts) + use_zero
     if measured.count != expected:
         raise AssertionError(
             f"cycle placement cost {measured.count} != convex optimum {expected}"
@@ -777,15 +731,11 @@ def _interval_candidates(n: int, max_denominator: int) -> tuple[np.ndarray, np.n
     return lo[order], hi[order]
 
 
-def interval_free_set(
-    system: LinearFormSystem,
-    n: int,
-    max_denominator: int = 64,
-) -> ExtremalResult | None:
+def interval_free_set(system: LinearFormSystem, n: int) -> ExtremalResult | None:
     """Densest rational-endpoint interval that is verified free for the system.
 
     Candidate intervals [a N / D0, b N / D0) run over denominators
-    D0 <= max_denominator; every returned set is re-verified free by an
+    D0 <= ``MAX_DENOMINATOR``; every returned set is re-verified free by an
     exact configuration scan.  Returns None when nothing free turns up
     within the denominator budget; invariant systems are rejected
     outright since only non-invariant systems admit free intervals.
@@ -794,7 +744,7 @@ def interval_free_set(
     """
     if is_invariant(system):
         raise ValueError("invariant systems admit no free sets; need a non-invariant system")
-    los, his = _interval_candidates(n, max_denominator)
+    los, his = _interval_candidates(n, MAX_DENOMINATOR)
     # A configuration lies in [lo, hi) iff its smallest coordinate is >= lo
     # and its largest is < hi, so [lo, hi) is free iff hi <= reach[lo] with
     # reach[lo] = min{largest coordinate : smallest coordinate >= lo}.

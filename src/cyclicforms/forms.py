@@ -108,14 +108,14 @@ class KernelPresentation:
         return len(self.matrix)
 
     def kernel_mod_n(self, n: int) -> set[tuple[int, ...]]:
-        """Enumerate {y in (Z/n)^t : matrix . y = 0 mod n}, for n^t <= 10**7."""
+        """Enumerate {y in (Z/n)^t : matrix . y = 0 mod n}, for n^t <= ``KERNEL_CAP``."""
         if not self.matrix:
             raise ValueError("k = 0 presentation: the kernel is all of (Z/n)^t")
         t = len(self.matrix[0])
         identity = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
         stacked = LinearFormSystem(identity + self.matrix)
         kernel: set[tuple[int, ...]] = set()
-        for phis in configurations(stacked, n, 10**7):
+        for phis in configurations(stacked, n, KERNEL_CAP):
             ys, rows = phis[:t], phis[t:]
             ok = np.logical_and.reduce([row == 0 for row in rows])
             kernel.update(zip(*(y[ok].tolist() for y in ys)))
@@ -145,42 +145,60 @@ def pairwise_independent(system: LinearFormSystem) -> bool:
     return True
 
 
-def _solve_rational(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve matrix . x = rhs over Q; returns a solution or None."""
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    n_rows = len(rows)
-    n_cols = len(matrix[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if rows[i][-1] != 0:
+class RationalSpan:
+    """Exact span membership / coordinate solving for a fixed vector list.
+
+    Row-reduces the generating vectors once; ``coordinates`` then answers
+    whether a target is in the span and, when the generators are
+    independent, with which coefficients.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[Fraction]]):
+        self.vectors = [list(v) for v in vectors]
+        # reduced rows carry their expression in terms of the generators
+        self._rows: list[tuple[list[Fraction], list[Fraction]]] = []
+        self._pivots: list[int] = []
+        for gen_index, v in enumerate(self.vectors):
+            coeffs = [Fraction(int(i == gen_index)) for i in range(len(self.vectors))]
+            self._insert(list(v), coeffs)
+        self.rank = len(self._rows)
+
+    def _reduce(self, vec: list[Fraction], coeffs: list[Fraction]):
+        for (row, rc), p in zip(self._rows, self._pivots):
+            if vec[p]:
+                f = vec[p] / row[p]
+                vec = [x - f * y if y else x for x, y in zip(vec, row)]
+                coeffs = [x - f * y if y else x for x, y in zip(coeffs, rc)]
+        return vec, coeffs
+
+    def _insert(self, vec: list[Fraction], coeffs: list[Fraction]) -> None:
+        vec, coeffs = self._reduce(vec, coeffs)
+        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
+            return
+        self._rows.append((vec, coeffs))
+        self._pivots.append(pivot)
+
+    def contains(self, target: Sequence[Fraction]) -> bool:
+        vec, _ = self._reduce(list(target), [Fraction(0)] * len(self.vectors))
+        return all(x == 0 for x in vec)
+
+    def coordinates(self, target: Sequence[Fraction]):
+        """Coefficients expressing target over the generators, or None.
+
+        Requires independent generators for the coefficients to be unique;
+        membership testing works regardless.
+        """
+        vec, coeffs = self._reduce(list(target), [Fraction(0)] * len(self.vectors))
+        if any(x != 0 for x in vec):
             return None
-    x = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = rows[row_idx][-1]
-    return x
+        return [-c for c in coeffs]
 
 
 def is_invariant(system: LinearFormSystem) -> bool:
     """True iff the rational image is closed under adding the all-ones vector."""
-    mat = [[Fraction(c) for c in row] for row in system.forms]
-    ones = [Fraction(1)] * system.t
-    return _solve_rational(mat, ones) is not None
+    columns = [[Fraction(c) for c in col] for col in zip(*system.forms)]
+    return RationalSpan(columns).contains([Fraction(1)] * system.t)
 
 
 def default_degree(system: LinearFormSystem) -> int:
@@ -314,6 +332,8 @@ def kernelize(system: LinearFormSystem) -> KernelPresentation:
 # 2^15 points keep a chunk's arrays in a 2 MiB L2 cache; on a 2-vCPU Xeon,
 # chunks of 2^18 ran integer counts 3-5% and complex sums 24% slower.
 _CHUNK = 1 << 15
+IMAGE_CAP = 10**6  # grid points walked by ``image_mod_n``, which keeps one tuple per point
+KERNEL_CAP = 10**7  # grid points walked by ``KernelPresentation.kernel_mod_n``
 
 
 def configurations(system: LinearFormSystem, n: int, cap: int):
@@ -367,10 +387,13 @@ def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):
         yield phis
 
 
-def image_mod_n(system: LinearFormSystem, n: int, cap: int = 10**6) -> set[tuple[int, ...]]:
-    """Exact enumeration of the image of (Z/n)^D in (Z/n)^t."""
+def image_mod_n(system: LinearFormSystem, n: int) -> set[tuple[int, ...]]:
+    """Exact enumeration of the image of (Z/n)^D in (Z/n)^t.
+
+    BudgetExceeded when n^D exceeds ``IMAGE_CAP``.
+    """
     image: set[tuple[int, ...]] = set()
-    for phis in configurations(system, n, cap):
+    for phis in configurations(system, n, IMAGE_CAP):
         image.update(zip(*(phi.tolist() for phi in phis)))
     return image
 

@@ -29,7 +29,8 @@ from .counting import CyclicFunction, CyclicSubset, sol_brute
 from .forms import LinearFormSystem, check_budget, pairwise_independent, size
 from .primes import is_prime, smallest_prime_factor
 
-DEFAULT_BUDGET = 5 * 10**8
+DEFAULT_BUDGET = 5 * 10**8  # N^{d-1} points for U^d, d >= 3, in ``gowers_norm``
+DEFINITIONAL_CAP = 10**8  # N^{d+1} grid points in ``gowers_norm_definitional``
 _BLOCK = 1 << 18  # elements of shifted rows per U^3 block: 64 rows at N = 4093
 
 
@@ -65,7 +66,7 @@ def _half_shift_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
+def _power_mean(values: np.ndarray, d: int) -> float:
     """E_{h tuples} ||Delta_{h_1..h_{d-2}} f||_{U^2}^4  =  ||f||_{U^d}^{2^d}.
 
     ``values`` is a real array when f is real-valued, complex otherwise.
@@ -73,7 +74,7 @@ def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
     n = len(values)
     if d == 2:
         return float(_u2_fourth_rows(values[None, :])[0])
-    check_budget(f"U^{d} at N={n} ({n}^{d - 1} points)", n ** (d - 1), budget)
+    check_budget(f"U^{d} at N={n} ({n}^{d - 1} points)", n ** (d - 1), DEFAULT_BUDGET)
     weights = _half_shift_weights(n)
     conj = np.conj(values)
     total = 0.0
@@ -88,14 +89,14 @@ def _power_mean(values: np.ndarray, d: int, budget: int) -> float:
             total += float(weights[start : start + step] @ _u2_fourth_rows(block))
         return total / n
     for h, weight in enumerate(weights.tolist()):
-        total += weight * _power_mean(np.roll(values, -h) * conj, d - 1, budget)
+        total += weight * _power_mean(np.roll(values, -h) * conj, d - 1)
     return total / n
 
 
-def gowers_norm(f: CyclicFunction, d: int, budget: int = DEFAULT_BUDGET) -> float:
+def gowers_norm(f: CyclicFunction, d: int) -> float:
     """||f||_{U^d}; nonnegative, nested in d.
 
-    BudgetExceeded when d >= 3 and the N^{d-1} work exceeds ``budget``.
+    BudgetExceeded when d >= 3 and the N^{d-1} work exceeds ``DEFAULT_BUDGET``.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -104,16 +105,19 @@ def gowers_norm(f: CyclicFunction, d: int, budget: int = DEFAULT_BUDGET) -> floa
     values = np.asarray(f.values)
     if not values.imag.any():
         values = values.real
-    power = _power_mean(values, d, budget)
+    power = _power_mean(values, d)
     return max(power, 0.0) ** (1.0 / (1 << d))
 
 
-def gowers_norm_definitional(f: CyclicFunction, d: int, cap: int = 10**8) -> float:
-    """Direct evaluation of the defining (d+1)-fold average.  Test oracle only."""
+def gowers_norm_definitional(f: CyclicFunction, d: int) -> float:
+    """Direct evaluation of the defining (d+1)-fold average.  Test oracle only.
+
+    BudgetExceeded when the N^{d+1} grid exceeds ``DEFINITIONAL_CAP``.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
     n = f.modulus
-    check_budget(f"definitional U^{d} over {n}^{d + 1} points", n ** (d + 1), cap)
+    check_budget(f"definitional U^{d} over {n}^{d + 1} points", n ** (d + 1), DEFINITIONAL_CAP)
     values = np.asarray(f.values)
     real = bool(np.all(values.imag == 0))
     if real:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .matrices import RationalSpan
+from ..forms import RationalSpan
 from .model import FilteredNilmanifoldModel, UnitriangularElement
 from .poly import PolynomialSequence
 
@@ -32,9 +32,6 @@ class LevelCharacter:
     @property
     def complexity(self) -> int:
         return sum(abs(k) for k in self.frequency)
-
-    def is_trivial(self) -> bool:
-        return all(k == 0 for k in self.frequency)
 
     def value(self, model: FilteredNilmanifoldModel, g: UnitriangularElement) -> Fraction:
         """xi(g) = k . psi_i(g) for g in G_i."""

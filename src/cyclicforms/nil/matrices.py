@@ -168,53 +168,3 @@ def upper_entries(a: Matrix) -> tuple[Fraction, ...]:
     n = len(a)
     return tuple(a[i][j] for i in range(n) for j in range(i + 1, n))
 
-
-class RationalSpan:
-    """Exact span membership / coordinate solving for a fixed vector list.
-
-    Row-reduces the generating vectors once; ``coordinates`` then answers
-    whether a target is in the span and, when the generators are
-    independent, with which coefficients.
-    """
-
-    def __init__(self, vectors: Sequence[Sequence[Fraction]]):
-        self.vectors = [list(v) for v in vectors]
-        self.width = len(self.vectors[0]) if self.vectors else 0
-        # reduced rows carry their expression in terms of the generators
-        self._rows: list[tuple[list[Fraction], list[Fraction]]] = []
-        self._pivots: list[int] = []
-        for gen_index, v in enumerate(self.vectors):
-            coeffs = [Fraction(int(i == gen_index)) for i in range(len(self.vectors))]
-            self._insert(list(v), coeffs)
-        self.rank = len(self._rows)
-
-    def _reduce(self, vec: list[Fraction], coeffs: list[Fraction]):
-        for (row, rc), p in zip(self._rows, self._pivots):
-            if vec[p]:
-                f = vec[p] / row[p]
-                vec = [x - f * y if y else x for x, y in zip(vec, row)]
-                coeffs = [x - f * y if y else x for x, y in zip(coeffs, rc)]
-        return vec, coeffs
-
-    def _insert(self, vec: list[Fraction], coeffs: list[Fraction]) -> None:
-        vec, coeffs = self._reduce(vec, coeffs)
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return
-        self._rows.append((vec, coeffs))
-        self._pivots.append(pivot)
-
-    def contains(self, target: Sequence[Fraction]) -> bool:
-        vec, _ = self._reduce(list(target), [Fraction(0)] * len(self.vectors))
-        return all(x == 0 for x in vec)
-
-    def coordinates(self, target: Sequence[Fraction]):
-        """Coefficients expressing target over the generators, or None.
-
-        Requires independent generators for the coefficients to be unique;
-        membership testing works regardless.
-        """
-        vec, coeffs = self._reduce(list(target), [Fraction(0)] * len(self.vectors))
-        if any(x != 0 for x in vec):
-            return None
-        return [-c for c in coeffs]

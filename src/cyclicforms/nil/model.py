@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ..forms import RationalSpan
 from .matrices import (
     Matrix,
-    RationalSpan,
     exp_poly,
     exp_terms,
     is_strictly_upper,
@@ -34,7 +34,6 @@ from .matrices import (
     mat_commutator,
     mat_identity,
     mat_mul,
-    nilpotent_exp,
     nilpotent_log,
     unitriangular_inverse,
     upper_entries,
@@ -62,12 +61,6 @@ class UnitriangularElement:
     @classmethod
     def identity(cls, dim: int) -> "UnitriangularElement":
         return cls(mat_identity(dim))
-
-    @classmethod
-    def exp(cls, x: Matrix) -> "UnitriangularElement":
-        if not is_strictly_upper(x):
-            raise ValueError("exp needs a strictly upper-triangular matrix")
-        return cls(nilpotent_exp(x))
 
     @property
     def dim(self) -> int:
@@ -407,13 +400,20 @@ class FilteredNilmanifoldModel:
     @classmethod
     def from_json(cls, text: str) -> "FilteredNilmanifoldModel":
         obj = json.loads(text)
-        dims = obj["levelDims"]
+        if not isinstance(obj, dict):
+            raise ValueError("expected a model object with kappa, basis and levelDims")
+        try:  # frac refuses floats, so a float basis entry lands here too
+            kappa = int(obj["kappa"])
+            basis = tuple(mat(b) for b in obj["basis"])
+            dims = tuple(int(x) for x in obj["levelDims"])
+        except TypeError as exc:
+            raise ValueError(f"malformed model field: {exc}") from None
         if "degree" in obj and obj["degree"] != len(dims) - 1:
             raise ValueError("degree must match levelDims length minus one")
         return cls(
-            kappa=int(obj["kappa"]),
-            basis=tuple(mat(b) for b in obj["basis"]),
-            level_dims=tuple(int(x) for x in dims),
+            kappa=kappa,
+            basis=basis,
+            level_dims=dims,
             prefiltration=bool(obj.get("prefiltration", False)),
             name=obj.get("name"),
         )

@@ -1,8 +1,11 @@
 """Every cap in the package raises the one BudgetExceeded, before it allocates.
 
-Each row is a small call that trips one cap.  The calls marked as
-allocating would build a large array past the check (a grid, a 2^N table,
-an N^k dual grid), so a peak under 1 MiB shows the check ran first.
+Each row is a small call that trips one cap at its shipped value, with
+its inputs built outside the traced call; the branch-and-bound row lowers
+``NODE_BUDGET`` instead, because visiting 2M nodes takes seconds.  The
+calls marked as allocating would build a large array past the check (a
+grid, a 2^N table, an N^k dual grid), so a peak under 1 MiB shows the
+check ran first.
 """
 
 import tracemalloc
@@ -11,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import cyclicforms
+from cyclicforms import extremal
 from cyclicforms.counting import (
     CyclicFunction,
     CyclicSubset,
@@ -40,23 +44,28 @@ from cyclicforms.gowers import gowers_norm, gowers_norm_definitional
 D4 = LinearFormSystem(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 HALF_101 = CyclicFunction.constant(0.5, 101)
+HALF_200 = CyclicFunction.constant(0.5, 200)
+HALF_1001 = CyclicFunction.constant(0.5, 1001)
+FULL_200 = CyclicSubset.full(200)
+
+
+def _patched(module, name, value, call):
+    """``call`` run with ``module.name`` set to ``value``, restored afterwards."""
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, value)
+            call()
+
+    return run
+
 
 # (call, allocates past the check), one row per cap and per caller of the grid cap
 CAPS = [
     pytest.param(lambda: next(configurations(three_ap(), 1001, 10**6)), True, id="grid-walk"),
-    pytest.param(
-        lambda: sol_brute([CyclicFunction.constant(0.5, 100)] * 4, four_ap(), cap=10**3),
-        True,
-        id="grid-sol_brute",
-    ),
-    pytest.param(
-        lambda: sol_count(CyclicSubset.full(100), four_ap(), cap=10**3), True, id="grid-sol_count"
-    ),
-    pytest.param(
-        lambda: has_configuration(CyclicSubset.full(100), four_ap(), cap=10**3),
-        True,
-        id="grid-has_configuration",
-    ),
+    pytest.param(lambda: sol_brute([HALF_200] * 4, D4), True, id="grid-sol_brute"),
+    pytest.param(lambda: sol_count(FULL_200, D4), True, id="grid-sol_count"),
+    pytest.param(lambda: has_configuration(FULL_200, D4), True, id="grid-has_configuration"),
     pytest.param(lambda: image_mod_n(three_ap(), 1001), True, id="grid-image_mod_n"),
     pytest.param(lambda: kernelize(four_ap()).kernel_mod_n(60), True, id="grid-kernel_mod_n"),
     pytest.param(
@@ -69,14 +78,17 @@ CAPS = [
         lambda: min_sol_heuristic(three_ap(), Fraction(2, 5), 63), False, id="bitmask-config_table"
     ),
     pytest.param(
-        lambda: max_free_density_exact([three_ap()], 20, ignore_constant_configs=True, node_budget=10),
+        _patched(
+            extremal,
+            "NODE_BUDGET",
+            10,
+            lambda: max_free_density_exact([three_ap()], 20, ignore_constant_configs=True),
+        ),
         False,
         id="nodes",
     ),
-    pytest.param(lambda: gowers_norm(HALF_101, 4, budget=10**3), True, id="gowers-u4"),
-    pytest.param(
-        lambda: gowers_norm_definitional(HALF_101, 3, cap=10**4), True, id="gowers-definitional"
-    ),
+    pytest.param(lambda: gowers_norm(HALF_1001, 4), True, id="gowers-u4"),
+    pytest.param(lambda: gowers_norm_definitional(HALF_101, 3), True, id="gowers-definitional"),
     pytest.param(
         lambda: sol_fast([CyclicSubset.full(5003).indicator()] * 4, four_ap(), kernelize(four_ap())),
         True,

@@ -243,6 +243,26 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"kappa": 2, "basis": [[[0, 0.5], [0, 0]]], "levelDims": [1, 1]}),
+        "[1, 2]",
+        json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": 3}),
+    ],
+    ids=["float-basis-entry", "top-level-list", "scalar-level-dims"],
+)
+def test_malformed_model_file_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code = main(["nil", "build-periodic", "--model", str(path), "--q", "11", "--A", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_budget_exhaustion_exit_code(capsys, system_file):
     code, _ = _run(
         capsys,

@@ -220,9 +220,9 @@ def test_has_configuration_early_exit():
 
 def test_brute_cap():
     system = three_ap()
-    f = CyclicFunction.constant(1.0, 101)
+    f = CyclicFunction.constant(1.0, 40000)  # 40000^2 points exceed DEFAULT_BRUTE_CAP
     with pytest.raises(BudgetExceeded):
-        sol_brute([f] * 3, system, cap=100)
+        sol_brute([f] * 3, system)
 
 
 def _random_subset(rng, n: int) -> CyclicSubset:
@@ -336,10 +336,10 @@ def test_sol_count_memory_is_bounded_by_the_row_block():
 
 
 def test_sol_count_cap_is_checked_before_allocation():
-    a = CyclicSubset.full(100)
+    a = CyclicSubset.full(40000)  # 40000^2 points exceed DEFAULT_BRUTE_CAP
 
     def over_cap():
-        with pytest.raises(BudgetExceeded, match="enumeration of 100"):
-            sol_count(a, four_ap(), cap=10**3)
+        with pytest.raises(BudgetExceeded, match="enumeration of 40000"):
+            sol_count(a, three_ap())
 
     assert _peak_bytes(over_cap) < 2**20

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from cyclicforms.forms import (
     kernel_system,
     three_ap,
 )
-from cyclicforms.primes import multiplicative_order
+from cyclicforms.primes import is_prime, multiplicative_order
 
 
 def test_min_sol_edges():
@@ -383,9 +384,10 @@ def test_branch_and_bound_reaches_past_the_old_node_budget():
     assert min_sol_exact(three_ap(), Fraction(7, 19), 19).value > Fraction(7, 19**2)
 
 
-def test_branch_and_bound_node_budget_still_raises():
+def test_branch_and_bound_node_budget_still_raises(monkeypatch):
+    monkeypatch.setattr(extremal, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceeded, match="branch-and-bound node count"):
-        max_free_density_exact([three_ap()], 20, ignore_constant_configs=True, node_budget=10)
+        max_free_density_exact([three_ap()], 20, ignore_constant_configs=True)
 
 
 @pytest.mark.parametrize("solver", [max_free_density_exact, max_free_density_heuristic])
@@ -426,6 +428,31 @@ def test_dependent_pair_rejects_bad_input():
         dependent_pair_exact(1, 7)
     with pytest.raises(ValueError):
         dependent_pair_exact(2, 9)
+
+
+def test_dependent_pair_certificates_pinned():
+    # Every prime p <= 61, k in {2, 3, -2, -3, 5} plus k = 1 and k = -1 mod p
+    # (cycle orders 1 and 2), every size 0..p+1; the last size is an error.
+    # The digest covers both certificates and the minimum of each case.
+    digest = hashlib.sha256()
+    cases = 0
+    for p in filter(is_prime, range(62)):
+        for k in (2, 3, -2, -3, 5, p + 1, 2 * p - 1):
+            if k % p == 0:
+                continue
+            for size in range(p + 2):
+                try:
+                    density, low = dependent_pair_exact(k, p, Fraction(size, p))
+                    line = (
+                        f"{p} {k} {size} {density.certificate.members} "
+                        f"{low.certificate.members} {low.value}"
+                    )
+                except ValueError as exc:
+                    line = f"{p} {k} {size} ValueError {exc}"
+                digest.update(line.encode() + b"\n")
+                cases += 1
+    assert cases == 3734
+    assert digest.hexdigest() == "ed2714ee1b7528f0a799797bbccc78a16c086dfbb46cdb62f297ba7b69a05646"
 
 
 def test_weyl_set_contract():
@@ -520,12 +547,13 @@ def test_interval_candidates_match_the_loop():
     ],
     ids=lambda s: str(s.forms),
 )
-def test_interval_free_set_matches_per_candidate_walk(system):
+def test_interval_free_set_matches_per_candidate_walk(monkeypatch, system):
     # a denominator budget of 3 leaves several of these systems with no
     # free candidate, which exercises the None return
     for max_denominator in (3, 64):
+        monkeypatch.setattr(extremal, "MAX_DENOMINATOR", max_denominator)
         for n in range(3, 41):
-            got = interval_free_set(system, n, max_denominator)
+            got = interval_free_set(system, n)
             expected = _per_candidate_interval(system, n, max_denominator)
             if expected is None:
                 assert got is None, (max_denominator, n)

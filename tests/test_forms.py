@@ -200,7 +200,7 @@ def test_image_mod_n_examples():
     assert image_mod_n(LinearFormSystem(((1,),)), 5) == {(x,) for x in range(5)}
     assert image_mod_n(dilate_pair(2), 5) == {(a, 2 * a % 5) for a in range(5)}
     with pytest.raises(BudgetExceeded):
-        image_mod_n(four_ap(), 100, cap=10**3)
+        image_mod_n(four_ap(), 1001)  # 1001^2 points exceed IMAGE_CAP
 
 
 @given(

@@ -104,11 +104,11 @@ def test_u3_memory_is_bounded_by_the_block(is_complex):
 
 
 def test_budget_checked_before_allocating():
-    f = CyclicFunction.constant(0.5, 101)
+    f = CyclicFunction.constant(0.5, 1001)  # 1001^3 points exceed DEFAULT_BUDGET
 
     def over_budget():
         with pytest.raises(BudgetExceeded, match="U\\^4"):
-            gowers_norm(f, 4, budget=10**3)
+            gowers_norm(f, 4)
 
     assert _peak_bytes(over_budget) < 1 << 20
 
@@ -126,9 +126,9 @@ def test_modulation_and_translation_invariance():
 def test_budget_guards():
     f = CyclicFunction.constant(0.5, 101)
     with pytest.raises(BudgetExceeded):
-        gowers_norm(f, 4, budget=10**3)
+        gowers_norm(CyclicFunction.constant(0.5, 1001), 4)  # 1001^3 > DEFAULT_BUDGET
     with pytest.raises(BudgetExceeded):
-        gowers_norm_definitional(f, 3, cap=10**4)
+        gowers_norm_definitional(f, 3)  # 101^4 > DEFINITIONAL_CAP
     with pytest.raises(ValueError):
         gowers_norm(f, 0)
 
