@@ -3,8 +3,8 @@
 Exact solvers enumerate subsets (or run branch and bound on the
 forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
-solvers are seeded annealing searches whose results are certificate-backed
-bounds, and the count the annealer tracks is re-verified the same way.
+solvers anneal from a seed, tracking bit-sliced counts over a set-up
+cached per (system, N), and re-verify their certificate-backed bounds too.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -15,6 +15,7 @@ returns: the first maximum free set in depth-first order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +63,7 @@ MAX_DENOMINATOR = 64  # largest denominator D0 of an ``interval_free_set`` endpo
 MAX_BITMASK_N = 62  # largest N whose subsets and configurations are int64 bitmasks
 _CONFIG_CAP = 10**7  # grid points walked to build a configuration table
 _GREEDY_RESTARTS = 8
+_CACHE_SIZE = 16  # entries kept by each cache: annealer set-ups, interval candidates
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,25 @@ def _bitsets(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _anneal_setup(system: LinearFormSystem, n: int):
+    """``(grid, uses, degree, top)`` for ``_anneal``, built once per (system, N).
+
+    grid: the table's masks repeated by multiplicity, read-only; uses[v]:
+    the bitset of grid points through vertex v; degree[v]: its popcount;
+    top: the most distinct vertices of one configuration.
+    """
+    masks, mult = _config_table(system, n)
+    grid = np.repeat(masks, mult)
+    grid.flags.writeable = False
+    grid_bytes = grid.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    uses = []
+    for b in range((n + 7) // 8):  # a byte column at a time: 16 temporary bytes per grid point
+        uses += _bitsets(np.unpackbits(grid_bytes[:, b : b + 1], axis=1, bitorder="little").T)
+    uses = tuple(uses[:n])
+    return grid, uses, tuple(u.bit_count() for u in uses), int(np.bitwise_count(masks).max())
+
+
 def _anneal(
     system: LinearFormSystem,
     n: int,
@@ -231,14 +252,15 @@ def _anneal(
 
     Returns the best subset bitmask seen and its configuration count.
 
-    The energy is exact and incremental.  Over the grid points p (the
-    configuration table with each mask repeated by its multiplicity),
-    ``uses[v]`` is the bitset of configurations through vertex v and
-    ``level[c]`` the bitset of configurations with exactly c distinct
-    vertices outside the current set, so the count is popcount(level[0])
-    and a swap x_out -> x_in changes it by
-    popcount(level[1] & uses[x_in] & ~uses[x_out]) - popcount(level[0] & uses[x_out]):
-    the same integer a full recount gives.  The seeded draws replay
+    The energy is exact and incremental.  Each grid point of
+    ``_anneal_setup`` has an outside count (its distinct vertices outside
+    the set) kept bit-sliced: ``digit[k]`` is the bitset of points whose
+    count has bit k set.  The energy counts points at 0; with ``occupied``
+    (count >= 1) and ``single`` (count 1) a swap x_out -> x_in changes it by
+    popcount((uses[x_out] & occupied) | (uses[x_in] & single)) - degree[x_out],
+    the gain at 1 through x_in alone minus the loss at 0 through x_out: the
+    same integer a full recount gives.  On accept a borrow (x_in) and a carry
+    (x_out) ripple up the digits until they die.  The seeded draws replay
     numpy's scalar stream (``_replay_draws``), so a move makes no numpy call
     and the trajectory is the one ``rng.integers``/``rng.random`` give.
 
@@ -247,7 +269,7 @@ def _anneal(
     budget at fixed seed.
     """
     rng = np.random.default_rng(seed)
-    masks, mult = _config_table(system, n)
+    grid, uses, degree, top = _anneal_setup(system, n)
     total = n**system.num_variables
     sign = 1 if minimize else -1
 
@@ -257,16 +279,12 @@ def _anneal(
         mask |= 1 << x
     outside = [x for x in range(n) if not (mask >> x) & 1]
 
-    grid = np.repeat(masks, mult)
-    grid_bytes = grid.astype("<i8").view(np.uint8).reshape(-1, 8)
-    uses = []
-    for b in range((n + 7) // 8):  # a byte column at a time: 16 temporary bytes per grid point
-        uses += _bitsets(np.unpackbits(grid_bytes[:, b : b + 1], axis=1, bitorder="little").T)
-    del uses[n:]
-    top = int(np.bitwise_count(masks).max())
     outside_count = np.bitwise_count(grid & ~np.int64(mask))
-    level = _bitsets(outside_count == np.arange(top + 1)[:, None])
-    energy = sign * level[0].bit_count()
+    digit = _bitsets((outside_count >> np.arange(top.bit_length(), dtype=np.uint8)[:, None]) & 1)
+    high = functools.reduce(int.__or__, digit[1:], 0)
+    occupied = digit[0] | high
+    single = occupied ^ high
+    energy = sign * (total - occupied.bit_count())
     best_energy, best_mask = energy, mask
     if not members or not outside:
         return best_mask, sign * best_energy
@@ -279,27 +297,27 @@ def _anneal(
         j = integers(n_out)
         x_out, x_in = members[i], outside[j]
         z_out, z_in = uses[x_out], uses[x_in]
-        through_in = level[1] & z_in
-        gained = (through_in ^ (through_in & z_out)).bit_count()
-        lost = (level[0] & z_out).bit_count()
-        change = sign * (gained - lost)
+        change = sign * (((z_out & occupied) | (z_in & single)).bit_count() - degree[x_out])
         delta = change / total
         if delta <= 0 or random() < math.exp(-delta / max(t0 * cooling**step, t_floor)):
             members[i], outside[j] = x_in, x_out
             mask ^= (1 << x_out) | (1 << x_in)
             energy += change
-            # x_in joins the set: configurations through it drop one level
-            moved = 0
-            for c in range(top, -1, -1):
-                here = level[c] & z_in
-                level[c] ^= here ^ moved
-                moved = here
-            # x_out leaves: configurations through it climb one level
-            moved = 0
-            for c in range(top + 1):
-                here = level[c] & z_out
-                level[c] ^= here ^ moved
-                moved = here
+            borrow = z_in  # x_in joins the set: the counts through it drop by one
+            for k, d in enumerate(digit):
+                digit[k] = d = d ^ borrow
+                borrow &= d
+                if not borrow:
+                    break
+            carry = z_out  # x_out leaves: the counts through it rise by one
+            for k, d in enumerate(digit):
+                digit[k] = d ^ carry
+                carry &= d
+                if not carry:
+                    break
+            high = functools.reduce(int.__or__, digit[1:], 0)
+            occupied = digit[0] | high
+            single = occupied ^ high
             if energy < best_energy:
                 best_energy, best_mask = energy, mask
     return best_mask, sign * best_energy
@@ -712,12 +730,13 @@ def multiplicative_free_set(k: int, p: int) -> CyclicSubset:
     return subset
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _interval_candidates(n: int, max_denominator: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct [lo, hi) = [ceil(aN/D0), ceil(bN/D0)) over 0 <= a < b <= D0 <= max_denominator.
 
     Only proper nonempty intervals (0 < hi - lo < N) are kept.  They come
     sorted densest first, then leftmost; that key is unique per pair, so
-    the set of pairs alone fixes the order.
+    the set of pairs alone fixes the order.  Cached: the arrays are read-only.
     """
     keys = [np.zeros(0, dtype=np.int64)]
     for d0 in range(1, max_denominator + 1):
@@ -727,8 +746,9 @@ def _interval_candidates(n: int, max_denominator: int) -> tuple[np.ndarray, np.n
         keep = (hi > lo) & (hi - lo < n)
         keys.append(lo[keep] * (n + 1) + hi[keep])
     lo, hi = np.divmod(np.unique(np.concatenate(keys)), n + 1)
-    order = np.lexsort((lo, lo - hi))
-    return lo[order], hi[order]
+    both = np.stack((lo, hi))[:, np.lexsort((lo, lo - hi))]
+    both.flags.writeable = False
+    return tuple(both)
 
 
 def interval_free_set(system: LinearFormSystem, n: int) -> ExtremalResult | None:

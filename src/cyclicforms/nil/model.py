@@ -403,9 +403,9 @@ class FilteredNilmanifoldModel:
         if not isinstance(obj, dict):
             raise ValueError("expected a model object with kappa, basis and levelDims")
         try:  # frac refuses floats, so a float basis entry lands here too
-            kappa = int(obj["kappa"])
+            kappa = _json_int(obj["kappa"], "kappa")
             basis = tuple(mat(b) for b in obj["basis"])
-            dims = tuple(int(x) for x in obj["levelDims"])
+            dims = tuple(_json_int(x, "levelDims entry") for x in obj["levelDims"])
         except TypeError as exc:
             raise ValueError(f"malformed model field: {exc}") from None
         if "degree" in obj and obj["degree"] != len(dims) - 1:
@@ -422,6 +422,13 @@ class FilteredNilmanifoldModel:
     def load(cls, path) -> "FilteredNilmanifoldModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer as is; floats, strings and booleans are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"non-integer {what} {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,13 @@ def test_input_error_exit_code(capsys, tmp_path):
         json.dumps({"kappa": 2, "basis": [[[0, 0.5], [0, 0]]], "levelDims": [1, 1]}),
         "[1, 2]",
         json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": 3}),
+        json.dumps({"kappa": 2.9, "basis": [[[0, 1], [0, 0]]], "levelDims": [1, 1]}),
+        json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [1.7, 1]}),
+        json.dumps({"kappa": "2", "basis": [[[0, 1], [0, 0]]], "levelDims": [1, 1]}),
+        json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [True, 1]}),
     ],
-    ids=["float-basis-entry", "top-level-list", "scalar-level-dims"],
+    ids=["float-basis-entry", "top-level-list", "scalar-level-dims", "float-kappa",
+         "float-level-dims", "string-kappa", "bool-level-dims"],
 )
 def test_malformed_model_file_is_an_input_error(capsys, tmp_path, text):
     path = tmp_path / "m.json"

@@ -11,6 +11,8 @@ from cyclicforms import extremal
 from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
 from cyclicforms.extremal import (
     _anneal,
+    _anneal_setup,
+    _bitsets,
     _config_table,
     _forbidden_edges,
     _interval_candidates,
@@ -34,6 +36,7 @@ from cyclicforms.forms import (
     dilate_pair,
     four_ap,
     kernel_system,
+    progression_system,
     three_ap,
 )
 from cyclicforms.primes import is_prime, multiplicative_order
@@ -194,6 +197,85 @@ def test_anneal_tracked_energy_matches_recount(system):
         mask, count = _anneal(system, n, (2 * n) // 5, seed, 700, minimize)
         assert bin(mask).count("1") == (2 * n) // 5
         assert count == _count_for_mask(masks, mult, mask), (system.forms, n, seed)
+
+
+def _one_hot_anneal(system, n, size, seed, moves, minimize):
+    """Reference annealer: one bitset per outside-count level, every level updated per move."""
+    rng = np.random.default_rng(seed)
+    masks, mult = _config_table(system, n)
+    total = n**system.num_variables
+    sign = 1 if minimize else -1
+    members = [int(x) for x in rng.permutation(n)[:size]]
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    outside = [x for x in range(n) if not (mask >> x) & 1]
+    grid = np.repeat(masks, mult)
+    uses = _bitsets(((grid[None, :] >> np.arange(n)[:, None]) & 1).astype(bool))
+    top = int(np.bitwise_count(masks).max())
+    outside_count = np.bitwise_count(grid & ~np.int64(mask))
+    level = _bitsets(outside_count == np.arange(top + 1)[:, None])
+    energy = sign * level[0].bit_count()
+    best_energy, best_mask = energy, mask
+    if not members or not outside:
+        return best_mask, sign * best_energy
+    integers, random = _replay_draws(rng)
+    n_in, n_out = len(members), len(outside)
+    t0, cooling, t_floor = 0.08, 0.999, 1e-6
+    for step in range(moves):
+        i = integers(n_in)
+        j = integers(n_out)
+        x_out, x_in = members[i], outside[j]
+        z_out, z_in = uses[x_out], uses[x_in]
+        through_in = level[1] & z_in
+        gained = (through_in ^ (through_in & z_out)).bit_count()
+        lost = (level[0] & z_out).bit_count()
+        change = sign * (gained - lost)
+        delta = change / total
+        if delta <= 0 or random() < math.exp(-delta / max(t0 * cooling**step, t_floor)):
+            members[i], outside[j] = x_in, x_out
+            mask ^= (1 << x_out) | (1 << x_in)
+            energy += change
+            moved = 0  # x_in joins the set: configurations through it drop one level
+            for c in range(top, -1, -1):
+                here = level[c] & z_in
+                level[c] ^= here ^ moved
+                moved = here
+            moved = 0  # x_out leaves: configurations through it climb one level
+            for c in range(top + 1):
+                here = level[c] & z_out
+                level[c] ^= here ^ moved
+                moved = here
+            if energy < best_energy:
+                best_energy, best_mask = energy, mask
+    return best_mask, sign * best_energy
+
+
+@pytest.mark.parametrize("k", [5, 8, 9])
+def test_anneal_matches_one_hot_reference_on_wide_configurations(k):
+    # k distinct vertices take ceil(log2(k + 1)) digits: 3 for 5AP, 4 for 8AP and 9AP
+    system = progression_system(k)
+    for n in (31, 61):
+        for seed, minimize in ((0, True), (1, False)):
+            size = (2 * n) // 5
+            got = _anneal(system, n, size, seed, 700, minimize)
+            assert got == _one_hot_anneal(system, n, size, seed, 700, minimize), (k, n, minimize)
+
+
+def test_anneal_setup_cache_is_never_mutated():
+    systems = (three_ap(), kernel_system((1, 1, -3)))
+    calls = [(s, n, seed, minimize) for seed, minimize in ((0, True), (1, False))
+             for n in (13, 31, 61) for s in systems]
+
+    def run(order):
+        return {c: _anneal(c[0], c[1], (2 * c[1]) // 5, c[2], 400, c[3]) for c in order}
+
+    _anneal_setup.cache_clear()
+    first = run(calls)
+    grid, uses, degree, _ = _anneal_setup(three_ap(), 31)
+    assert not grid.flags.writeable and isinstance(uses, tuple) and isinstance(degree, tuple)
+    _anneal_setup.cache_clear()
+    assert run(calls[::-1]) == first
 
 
 def _draws_match(seed, prefix, block, ks):
@@ -535,6 +617,14 @@ def test_interval_candidates_match_the_loop():
             got = list(zip(los.tolist(), his.tolist()))
             assert got == _interval_candidate_loop(n, max_denominator), (max_denominator, n)
     assert _interval_candidates(5, 0)[0].size == 0
+
+
+def test_interval_candidates_are_read_only():
+    los, his = _interval_candidates(61, 8)
+    for arr in (los, his):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert _interval_candidates(61, 8)[0] is los
 
 
 @pytest.mark.parametrize(
