@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -177,6 +178,22 @@ def test_nil_build_periodic_output_pinned(capsys, model, q, bound, pinned):
     code, out = _run(capsys, argv)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / pinned).read_text(encoding="utf-8")
+
+
+_FULL_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "nil_build_full_digests.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("key", sorted(_FULL_DIGESTS))
+def test_nil_build_periodic_full_size_digests(capsys, key):
+    """sha256 of the seed-1 ``--verify full`` output of each full-size benchmark build."""
+    model, q, bound = key.split(" ")
+    argv = ["nil", "build-periodic", "--model", model, "--q", q[2:], "--A", bound[2:],
+            "--seed", "1", "--verify", "full"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _FULL_DIGESTS[key]
 
 
 def test_scan_command(capsys, system_file, tmp_path):
