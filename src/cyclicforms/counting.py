@@ -165,9 +165,6 @@ class CyclicSubset:
         inside = set(self.members)
         return CyclicSubset(self.modulus, tuple(x for x in range(self.modulus) if x not in inside))
 
-    def dilate(self, k: int) -> "CyclicSubset":
-        return CyclicSubset.from_iterable(self.modulus, (k * x for x in self.members))
-
     def to_text(self) -> str:
         lines = [f"N {self.modulus}"]
         lines.extend(str(x) for x in self.members)

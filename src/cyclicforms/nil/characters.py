@@ -35,8 +35,21 @@ class LevelCharacter:
 
     def value(self, model: FilteredNilmanifoldModel, g: UnitriangularElement) -> Fraction:
         """xi(g) = k . psi_i(g) for g in G_i."""
-        block = model.psi_level(self.level, g)
-        return sum((k * t for k, t in zip(self.frequency, block)), Fraction(0))
+        return _dot(self.frequency, model.psi_level(self.level, g))
+
+
+def _dot(k: Sequence[int], coords: Sequence[Fraction]) -> Fraction:
+    """k . coords, exactly."""
+    return sum((ki * t for ki, t in zip(k, coords)), Fraction(0))
+
+
+def _level_brackets(model: FilteredNilmanifoldModel, i: int) -> Iterator[tuple[int, int]]:
+    """Index pairs a != b with X_a in G_j and X_b in G_{i-j} for some 0 <= j <= i."""
+    for j in range(i + 1):
+        for a in range(model.dim - model.level_dim(j), model.dim):
+            for b in range(model.dim - model.level_dim(i - j), model.dim):
+                if a != b:
+                    yield a, b
 
 
 def _annihilator_rows(model: FilteredNilmanifoldModel, i: int) -> list[tuple[Fraction, ...]]:
@@ -49,19 +62,9 @@ def _annihilator_rows(model: FilteredNilmanifoldModel, i: int) -> list[tuple[Fra
     is the Lie algebra of the generated subgroup.
     """
     blk = model.block(i)
-    rows: set[tuple[Fraction, ...]] = set()
-    for j in range(i + 1):
-        a_indices = range(model.dim - model.level_dim(j), model.dim)
-        b_indices = range(model.dim - model.level_dim(i - j), model.dim)
-        for a in a_indices:
-            for b in b_indices:
-                if a == b:
-                    continue
-                coords = model.bracket_coords(a, b)
-                row = tuple(coords[c] for c in blk)
-                if any(x != 0 for x in row):
-                    rows.add(row)
-    return sorted(rows)
+    rows = {tuple(model.bracket_coords(a, b)[blk.start : blk.stop])
+            for a, b in _level_brackets(model, i)}
+    return sorted(row for row in rows if any(row))
 
 
 def _l1_ball(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -114,30 +117,13 @@ def in_vanishing_subgroup(
     corrections all land in G_{i+1}, which is already included), so the
     test is exact span membership of log g.
     """
-    from .matrices import nilpotent_log, upper_entries
+    from .matrices import mat_commutator, nilpotent_log, upper_entries
 
-    gens: list[tuple[Fraction, ...]] = []
-    for a in range(model.dim - model.level_dim(i + 1), model.dim):
-        gens.append(upper_entries(model.basis[a]))
-    for j in range(i + 1):
-        a_indices = range(model.dim - model.level_dim(j), model.dim)
-        b_indices = range(model.dim - model.level_dim(i - j), model.dim)
-        for a in a_indices:
-            for b in b_indices:
-                if a == b:
-                    continue
-                coords = model.bracket_coords(a, b)
-                vec = [Fraction(0)] * (model.kappa * (model.kappa - 1) // 2)
-                for c, coeff in enumerate(coords):
-                    if coeff != 0:
-                        basis_vec = upper_entries(model.basis[c])
-                        vec = [x + coeff * y for x, y in zip(vec, basis_vec)]
-                gens.append(tuple(vec))
-    span = RationalSpan(gens) if gens else None
-    target = upper_entries(nilpotent_log(g.entries))
-    if span is None:
-        return all(x == 0 for x in target)
-    return span.contains(target)
+    gens = [upper_entries(model.basis[a])
+            for a in range(model.dim - model.level_dim(i + 1), model.dim)]
+    gens += [upper_entries(mat_commutator(model.basis[a], model.basis[b]))
+             for a, b in _level_brackets(model, i)]
+    return RationalSpan(gens).contains(upper_entries(nilpotent_log(g.entries)))
 
 
 def enumerate_characters(
@@ -163,13 +149,10 @@ def is_irrational(p: PolynomialSequence, complexity_bound):
     the matching Taylor coefficient into Z.  Returns (flag, witness);
     the witness on failure is the violating (level, character, value).
     """
-    model = p.model
-    for i in range(1, model.degree + 1):
-        g_i = p.coefficients[i]
-        for xi in enumerate_characters(model, i, complexity_bound):
-            v = xi.value(model, g_i)
-            if v.denominator == 1:
-                return False, (i, xi, v)
+    for i in range(1, p.model.degree + 1):
+        ok, witness = element_irrational(p.model, i, p.coefficients[i], complexity_bound)
+        if not ok:
+            return False, witness
     return True, None
 
 
@@ -177,8 +160,10 @@ def element_irrational(
     model: FilteredNilmanifoldModel, i: int, g: UnitriangularElement, complexity_bound
 ):
     """A-irrationality of a single element of G_i; same witness contract."""
-    for xi in enumerate_characters(model, i, complexity_bound):
-        v = xi.value(model, g)
+    characters = enumerate_characters(model, i, complexity_bound)
+    block = model.psi_level(i, g) if characters else ()
+    for xi in characters:
+        v = _dot(xi.frequency, block)
         if v.denominator == 1:
             return False, (i, xi, v)
     return True, None

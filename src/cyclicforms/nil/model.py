@@ -7,6 +7,10 @@ Coordinates of the second kind (peel off exp(t_1 X_1), then exp(t_2 X_2),
 level subgroup with a coordinate tail.  All arithmetic is Fractions; no
 floating point ever touches a group element.
 
+Every coordinate is read by one sweep, ``malcev_sweep``: ``malcev_coords``,
+``head_coords`` and the level tests are the plain sweep, and
+``frac_int_parts`` is the same sweep splitting off integer parts as it goes.
+
 Exponentials are polynomials with precomputed terms (``exp_terms``): the
 model keeps the terms of each basis matrix and an element keeps those of
 its log, so ``basis_element(a, t)``, ``g ** k`` and ``g.root(q)`` are a
@@ -28,6 +32,7 @@ from .matrices import (
     Matrix,
     exp_poly,
     exp_terms,
+    frac,
     is_strictly_upper,
     is_unitriangular,
     mat,
@@ -258,8 +263,9 @@ class FilteredNilmanifoldModel:
         if len(coords) != self.dim:
             raise ValueError(f"need {self.dim} coordinates")
         out = self.identity()
-        for a, t in enumerate(coords):
-            out = out * self.basis_element(a, t)
+        for a, t in enumerate(map(frac, coords)):  # a float zero is refused too
+            if t:
+                out = out * self.basis_element(a, t)
         return out
 
     def _coord_at(self, g: UnitriangularElement, j: int) -> Fraction:
@@ -274,22 +280,38 @@ class FilteredNilmanifoldModel:
             raise OutsideGroupError("residual has support below the peel index")
         return c[j]
 
-    def _peel(self, g: UnitriangularElement, count: int) -> tuple[list[Fraction], UnitriangularElement]:
+    def malcev_sweep(
+        self, g: UnitriangularElement, count: int, split: bool = False
+    ) -> tuple[list[Fraction], list[int]]:
+        """(t_1..t_count, a_1..a_count): one left-to-right sweep, one log per index.
+
+        Step j reads t_j off the residual, whose coordinates before j
+        vanish, right-multiplies it by exp(-a_j X_j), which lowers t_j by
+        a_j and fixes the earlier coordinates, and peels exp((t_j - a_j) X_j)
+        from the left.  Unsplit, a_j = 0 and t = psi(g).  Split,
+        a_j = floor(t_j), psi({g}) = t - a and [g] = exp(a_m X_m) ...
+        exp(a_1 X_1).  A full sweep raises OutsideGroupError unless the
+        residual ends at the identity, that is unless g = {g}[g].
+        """
         residual = g
         coords: list[Fraction] = []
+        int_parts: list[int] = []
         for j in range(count):
             t = self._coord_at(residual, j)
+            a = math.floor(t) if split else 0
+            if a != 0:
+                residual = residual * self.basis_element(j, -a)
+            if t != a:
+                residual = self.basis_element(j, a - t) * residual
             coords.append(t)
-            if t != 0:
-                residual = self.basis_element(j, -t) * residual
-        return coords, residual
+            int_parts.append(a)
+        if count == self.dim and not residual.is_identity():
+            raise OutsideGroupError("peeling left a nontrivial residual")
+        return coords, int_parts
 
     def malcev_coords(self, g: UnitriangularElement) -> tuple[Fraction, ...]:
-        """psi(g): peel exp(t_j X_j) from the left, one index at a time."""
-        coords, residual = self._peel(g, self.dim)
-        if not residual.is_identity():
-            raise OutsideGroupError("peeling left a nontrivial residual")
-        return tuple(coords)
+        """psi(g): the unsplit sweep over every index."""
+        return tuple(self.malcev_sweep(g, self.dim)[0])
 
     def head_coords(self, g: UnitriangularElement, count: int) -> tuple[Fraction, ...]:
         """The first ``count`` Mal'cev coordinates, without peeling the rest.
@@ -297,85 +319,55 @@ class FilteredNilmanifoldModel:
         Exact for any g in the modeled group; cheaper than the full map
         when only a leading block is needed.
         """
-        coords, _residual = self._peel(g, count)
-        return tuple(coords)
+        return tuple(self.malcev_sweep(g, count)[0])
 
-    def in_group(self, g: UnitriangularElement) -> bool:
-        try:
-            self.malcev_coords(g)
-            return True
-        except OutsideGroupError:
-            return False
+    def _level_coords(self, g: UnitriangularElement, i: int) -> tuple[Fraction, ...] | None:
+        """psi(g) when g is in G_i (its first m - m_i coordinates vanish), else None."""
+        coords = self.malcev_coords(g)
+        return None if any(coords[: self.dim - self.level_dim(i)]) else coords
 
     def in_lattice(self, g: UnitriangularElement) -> bool:
         try:
-            coords = self.malcev_coords(g)
+            return self.in_lattice_level(g, 0)
         except OutsideGroupError:
             return False
-        return all(c.denominator == 1 for c in coords)
 
     def in_level(self, g: UnitriangularElement, i: int) -> bool:
         """g in G_i: the first m - m_i coordinates vanish."""
-        coords = self.malcev_coords(g)
-        cutoff = self.dim - self.level_dim(i)
-        return all(coords[a] == 0 for a in range(cutoff))
+        return self._level_coords(g, i) is not None
 
     def in_lattice_level(self, g: UnitriangularElement, i: int) -> bool:
-        coords = self.malcev_coords(g)
-        cutoff = self.dim - self.level_dim(i)
-        return all(coords[a] == 0 for a in range(cutoff)) and all(
-            c.denominator == 1 for c in coords
-        )
+        coords = self._level_coords(g, i)
+        return coords is not None and all(c.denominator == 1 for c in coords)
 
     def psi_level(self, i: int, g: UnitriangularElement) -> tuple[Fraction, ...]:
         """psi_i(g): the level-i coordinate block, for g in G_i."""
-        coords = self.malcev_coords(g)
-        cutoff = self.dim - self.level_dim(i)
-        if any(coords[a] != 0 for a in range(cutoff)):
+        coords = self._level_coords(g, i)
+        if coords is None:
             raise ValueError(f"element is not in G_{i}")
         blk = self.block(i)
-        return tuple(coords[a] for a in blk)
+        return coords[blk.start : blk.stop]
 
     def from_level_coords(self, i: int, block_coords: Sequence) -> UnitriangularElement:
         """psi_i^{-1}: the element of G_i with the given block and zero tail."""
         blk = self.block(i)
         if len(block_coords) != len(blk):
             raise ValueError(f"level {i} block has rank {len(blk)}")
-        out = self.identity()
-        for a, t in zip(blk, block_coords):
-            out = out * self.basis_element(a, t)
-        return out
+        return self.from_coords([0] * blk.start + list(block_coords) + [0] * (self.dim - blk.stop))
 
     def frac_int_parts(
         self, g: UnitriangularElement
     ) -> tuple[UnitriangularElement, UnitriangularElement]:
-        """({g}, [g]) with g = {g}[g], psi({g}) in [0,1)^m, [g] in Gamma.
-
-        Right-multiplying by exp(-a X_j) fixes coordinates before j and
-        lowers coordinate j by a, so one sweep j = 1..m lands every
-        coordinate in [0, 1).  ``peeled`` is the residual with its settled
-        coordinates peeled from the left; the right multiplication commutes
-        with that peel, so each coordinate costs one log.
-        """
-        residual = peeled = g
-        int_parts: list[int] = []
-        for j in range(self.dim):
-            t = self._coord_at(peeled, j)
-            a = math.floor(t)
-            int_parts.append(a)
-            if a != 0:
-                step = self.basis_element(j, -a)
-                residual = residual * step
-                peeled = peeled * step
-            if t != a:
-                peeled = self.basis_element(j, a - t) * peeled
+        """({g}, [g]) with g = {g}[g], psi({g}) in [0,1)^m, [g] in Gamma: the split sweep."""
+        coords, int_parts = self.malcev_sweep(g, self.dim, split=True)
+        fractional = self.from_coords([t - a for t, a in zip(coords, int_parts)])
         lattice = self.identity()
         for j in reversed(range(self.dim)):
             if int_parts[j] != 0:
                 lattice = lattice * self.basis_element(j, int_parts[j])
-        if (residual * lattice).entries != g.entries:
+        if (fractional * lattice).entries != g.entries:
             raise AssertionError("fractional/integral split failed to reconstruct")
-        return residual, lattice
+        return fractional, lattice
 
     def bracket_coords(self, a: int, b: int) -> list[Fraction]:
         """Coordinates of [X_{a+1}, X_{b+1}] in the basis."""
@@ -410,12 +402,18 @@ class FilteredNilmanifoldModel:
             raise ValueError(f"malformed model field: {exc}") from None
         if "degree" in obj and obj["degree"] != len(dims) - 1:
             raise ValueError("degree must match levelDims length minus one")
+        prefiltration = obj.get("prefiltration", False)
+        if not isinstance(prefiltration, bool):
+            raise ValueError('"prefiltration" must be a JSON boolean')
+        name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError('"name" must be a string')
         return cls(
             kappa=kappa,
             basis=basis,
             level_dims=dims,
-            prefiltration=bool(obj.get("prefiltration", False)),
-            name=obj.get("name"),
+            prefiltration=prefiltration,
+            name=name,
         )
 
     @classmethod

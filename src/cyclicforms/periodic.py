@@ -21,7 +21,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .counting import as_fraction
-from .nil.characters import LevelCharacter, element_irrational, is_irrational
+from .nil.characters import LevelCharacter, _dot, _l1_ball, element_irrational, is_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
 from .primes import is_prime, smallest_prime_factor
@@ -34,6 +34,12 @@ class ConstructionError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConstructionError(message)
+
+
+def _nonnegative_bound(bound) -> Fraction:
+    bound_f = as_fraction(bound)
+    _require(bound_f >= 0, f"the irrationality bound must be nonnegative, got {bound}")
+    return bound_f
 
 
 def irrational_qth_root(
@@ -60,24 +66,20 @@ def irrational_qth_root(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    bound_f = _nonnegative_bound(bound)
     r = model.block_rank(i)
     if r == 0:
         return model.identity()
-    bound_f = as_fraction(bound)
     _require(q >= (2 * bound_f) ** r, f"need q >= (2A)^r_i = {(2 * bound_f) ** r}")
     _require(smallest_prime_factor(q) >= bound_f, f"need p_1({q}) >= {bound}")
     a_int = int(bound_f)  # |k|_1 <= A has integer solutions only up to floor(A)
 
-    h_q = h**q
-    psi_hq = model.psi_level(i, h_q)
+    psi_hq = model.psi_level(i, h**q)
     constraints: list[tuple[tuple[int, ...], int]] = []
-    for k in iter_product(range(-a_int, a_int + 1), repeat=r):
-        if not any(k) or sum(abs(x) for x in k) > a_int:
-            continue
-        a_k = -sum((ki * t for ki, t in zip(k, psi_hq)), Fraction(0))
-        if a_k.denominator != 1:
-            continue
-        constraints.append((k, int(a_k) % q))
+    for k in _l1_ball(r, a_int):
+        a_k = -_dot(k, psi_hq)
+        if a_k.denominator == 1:
+            constraints.append((k, int(a_k) % q))
 
     def good(t) -> bool:
         return all(
@@ -111,7 +113,7 @@ def irrational_qth_root(
     return w
 
 
-def _integral_head(model: FilteredNilmanifoldModel, coords, cutoff: int) -> list[int]:
+def _integral_head(coords, cutoff: int) -> list[int]:
     head = []
     for a in range(cutoff):
         c = coords[a]
@@ -134,7 +136,7 @@ def _lattice_head_split(
     gamma_coeffs = []
     for h_j in g.coefficients:
         coords = model.malcev_coords(h_j)
-        head = _integral_head(model, coords, cutoff)
+        head = _integral_head(coords, cutoff)
         gamma_coeffs.append(model.from_coords(head + [Fraction(0)] * (model.dim - cutoff)))
     gamma = PolynomialSequence(model, tuple(gamma_coeffs))
     tilde_values = [
@@ -168,20 +170,18 @@ def _antiderivative(
     return PolynomialSequence(model, tuple(coeffs)), ell.get(i, model.identity())
 
 
-def _defect_in_lattice_times_level(p: PolynomialSequence, q: int, i: int) -> bool:
-    """Exact test that g(n+q)^{-1} g(n) is in Gamma . G_i for every n.
+def _integral_above_level(defect: PolynomialSequence, i: int) -> bool:
+    """Exact test that the defect n -> g(n+q)^{-1} g(n) lies in Gamma . G_i for every n.
 
     Equivalent to every Taylor coefficient of the defect having integral
-    coordinates above level i, by the subgroup-valued Taylor lemma.
+    coordinates above level i, by the subgroup-valued Taylor lemma.  At
+    i = s + 1 the level is trivial and the test is q-periodicity mod Gamma.
     """
-    model = p.model
+    model = defect.model
     cutoff = model.dim - model.level_dim(i)
-    defect = p.defect(q)
-    for c in defect.coefficients:
-        coords = model.malcev_coords(c)
-        if any(coords[a].denominator != 1 for a in range(cutoff)):
-            return False
-    return True
+    return all(
+        c.denominator == 1 for g in defect.coefficients for c in model.malcev_coords(g)[:cutoff]
+    )
 
 
 def build_periodic_irrational(
@@ -198,7 +198,7 @@ def build_periodic_irrational(
     exactly before the sequence is returned.
     """
     _require(not model.prefiltration, "construction needs a genuine filtration")
-    bound_f = as_fraction(bound)
+    bound_f = _nonnegative_bound(bound)
     m = model.dim
     s = model.degree
     _require(q >= (2 * bound_f) ** m, f"need q >= (2A)^m = {(2 * bound_f) ** m}")
@@ -211,9 +211,9 @@ def build_periodic_irrational(
     )
     rng = np.random.default_rng(seed)
     g = PolynomialSequence.identity(model)
+    defect = g.defect(q)
     for i in range(1, s + 1):
-        h = g.defect(q)
-        _gamma, h_tilde = _lattice_head_split(h, i)
+        _gamma, h_tilde = _lattice_head_split(defect, i)
         ell_poly, ell_top = _antiderivative(model, h_tilde, i, q)
         w = irrational_qth_root(model, i, ell_top, q, bound_f, rng)
         values = [
@@ -221,7 +221,9 @@ def build_periodic_irrational(
             for n in range(s + 1)
         ]
         g = taylor_expand(model, values)
-        if not _defect_in_lattice_times_level(g, q, i + 1):
+        defect = g.defect(q)
+        # after stage s this is exact q-periodicity mod the lattice
+        if not _integral_above_level(defect, i + 1):
             raise AssertionError(f"stage {i} failed its defect invariant")
         for j in range(1, i + 1):
             if model.block_rank(j) == 0:
@@ -229,9 +231,6 @@ def build_periodic_irrational(
             ok, witness = element_irrational(model, j, g.coefficients[j], bound_f)
             if not ok:
                 raise AssertionError(f"stage {i} lost irrationality at level {j}: {witness}")
-    defect = g.defect(q)
-    if not all(model.in_lattice(c) for c in defect.coefficients):
-        raise AssertionError("final sequence is not exactly q-periodic mod the lattice")
     ok, witness = is_irrational(g, bound_f)
     if not ok:
         raise AssertionError(f"final sequence is not irrational: {witness}")
@@ -252,8 +251,7 @@ def _require_exact_periodicity(p: PolynomialSequence, q: int) -> None:
     cache = p.__dict__.setdefault("_periodicity_ok", set())
     if q in cache:
         return
-    defect = p.defect(q)
-    if not all(p.model.in_lattice(c) for c in defect.coefficients):
+    if not _integral_above_level(p.defect(q), p.model.degree + 1):
         raise ConstructionError("sequence is not q-periodic mod the lattice")
     cache.add(q)
 
@@ -292,7 +290,7 @@ def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
     def phase_of(coords) -> Fraction:
         # the fractional part shifts head coordinates by integers, so the
         # phase of {g} mod 1 can be read off g itself
-        return sum((ki * coords[a] for ki, a in zip(k, blk)), Fraction(0))
+        return _dot(k, coords[blk.start : blk.stop])
 
     theta0 = phase_of(model.head_coords(p.coefficients[0], head_len))
     theta1 = phase_of(model.head_coords(p.coefficients[1], head_len))
@@ -321,7 +319,7 @@ def vertical_sum(p: PolynomialSequence, q: int) -> float:
     _require_exact_periodicity(p, q)
     total = 0j
     for n in range(q):
-        frac_part, _ = model.frac_int_parts(taylor_eval(p, n))
-        c = model.malcev_coords(frac_part)[-1]
-        total += cmath.exp(2j * cmath.pi * float(c))
+        # psi({g})_m = t_m - a_m, from the sweep that splits g = {g}[g]
+        coords, int_parts = model.malcev_sweep(taylor_eval(p, n), model.dim, split=True)
+        total += cmath.exp(2j * cmath.pi * float(coords[-1] - int_parts[-1]))
     return abs(total) / q

@@ -270,9 +270,13 @@ def test_input_error_exit_code(capsys, tmp_path):
         json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [1.7, 1]}),
         json.dumps({"kappa": "2", "basis": [[[0, 1], [0, 0]]], "levelDims": [1, 1]}),
         json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [True, 1]}),
+        json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [1, 1],
+                    "prefiltration": "false"}),
+        json.dumps({"kappa": 2, "basis": [[[0, 1], [0, 0]]], "levelDims": [1, 1], "name": 7}),
     ],
     ids=["float-basis-entry", "top-level-list", "scalar-level-dims", "float-kappa",
-         "float-level-dims", "string-kappa", "bool-level-dims"],
+         "float-level-dims", "string-kappa", "bool-level-dims", "string-prefiltration",
+         "integer-name"],
 )
 def test_malformed_model_file_is_an_input_error(capsys, tmp_path, text):
     path = tmp_path / "m.json"
@@ -282,6 +286,14 @@ def test_malformed_model_file_is_an_input_error(capsys, tmp_path, text):
     assert code == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_negative_irrationality_bound_is_an_input_error(capsys):
+    code = main(["nil", "build-periodic", "--model", "torus:m=2,s=2", "--q", "11", "--A", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -212,12 +213,42 @@ def test_malcev_round_trip_random():
             assert model.from_coords(model.malcev_coords(g)).entries == g.entries
 
 
+def test_head_and_level_reads_agree_with_malcev_coords():
+    rng = np.random.default_rng(12)
+    for model in (heisenberg_lcs(), heisenberg_deg3(), torus(2, 2), torus(3, 3)):
+        for _ in range(40):
+            zeros = int(rng.integers(0, model.dim + 1))
+            integral = rng.random() < 0.5
+            coords = tuple(
+                Fraction(0) if a < zeros
+                else Fraction(int(rng.integers(-8, 9)), 1 if integral else int(rng.integers(1, 6)))
+                for a in range(model.dim)
+            )
+            g = model.from_coords(coords)
+            assert model.malcev_coords(g) == coords
+            for k in range(model.dim + 1):
+                assert model.head_coords(g, k) == coords[:k]
+            for i in range(model.degree + 2):
+                cutoff = model.dim - model.level_dim(i)
+                inside = all(c == 0 for c in coords[:cutoff])
+                assert model.in_level(g, i) == inside
+                assert model.in_lattice_level(g, i) == (
+                    inside and all(c.denominator == 1 for c in coords)
+                )
+                blk = model.block(i)
+                if inside:
+                    assert model.psi_level(i, g) == coords[blk.start : blk.stop]
+                else:
+                    with pytest.raises(ValueError):
+                        model.psi_level(i, g)
+
+
 def test_outside_group_detection():
     m = torus(2, 1)  # 3x3 matrices with zero (1,2) slot unreachable
     bad = UnitriangularElement(mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
     with pytest.raises(OutsideGroupError):
         m.malcev_coords(bad)
-    assert not m.in_group(bad)
+    assert not m.in_lattice(bad)
 
 
 def _frac_int_parts_reference(model, g):
@@ -283,6 +314,11 @@ def test_model_json_round_trip():
     again = FilteredNilmanifoldModel.from_json(m.to_json())
     assert again.level_dims == m.level_dims
     assert again.basis == m.basis
+    assert again.name == m.name and again.prefiltration is False
+    obj = json.loads(m.to_json())
+    for bad in ("false", 0):  # bool("false") would silently build a prefiltration
+        with pytest.raises(ValueError, match="prefiltration"):
+            FilteredNilmanifoldModel.from_json(json.dumps({**obj, "prefiltration": bad}))
 
 
 def test_model_by_name():

@@ -37,6 +37,8 @@ def test_qth_root_precondition_bound():
     m = heisenberg_lcs()
     with pytest.raises(ConstructionError):
         irrational_qth_root(m, 1, m.identity(), 35, 3, rng=0)
+    with pytest.raises(ConstructionError, match="nonnegative"):
+        irrational_qth_root(m, 1, m.identity(), 37, -1, rng=0)
     w = irrational_qth_root(m, 1, m.identity(), 37, 3, rng=0)
     assert m.in_lattice(w**37)
 
@@ -80,6 +82,8 @@ def test_build_preconditions():
     t = torus(2, 2)
     with pytest.raises(ConstructionError):
         build_periodic_irrational(t, 15, 2)  # 15 < 16 and p_1 = 3 > A fails too
+    with pytest.raises(ConstructionError, match="nonnegative"):
+        build_periodic_irrational(t, 11, -1)  # passes every other precondition
 
 
 def test_build_heisenberg_small():
