@@ -21,7 +21,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .counting import as_fraction
-from .nil.characters import LevelCharacter, _dot, _l1_ball, element_irrational, is_irrational
+from .nil.characters import LevelCharacter, _dot, _l1_ball, element_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
 from .primes import is_prime, smallest_prime_factor
@@ -222,18 +222,13 @@ def build_periodic_irrational(
         ]
         g = taylor_expand(model, values)
         defect = g.defect(q)
-        # after stage s this is exact q-periodicity mod the lattice
         if not _integral_above_level(defect, i + 1):
             raise AssertionError(f"stage {i} failed its defect invariant")
         for j in range(1, i + 1):
-            if model.block_rank(j) == 0:
-                continue
             ok, witness = element_irrational(model, j, g.coefficients[j], bound_f)
             if not ok:
                 raise AssertionError(f"stage {i} lost irrationality at level {j}: {witness}")
-    ok, witness = is_irrational(g, bound_f)
-    if not ok:
-        raise AssertionError(f"final sequence is not irrational: {witness}")
+    # stage s checked q-periodicity mod the lattice (level s + 1) and every level's irrationality
     return g
 
 
