@@ -14,6 +14,7 @@ from cyclicforms.nil import enumerate_characters, heisenberg_lcs, is_irrational
 from cyclicforms.periodic import (
     build_periodic_irrational,
     character_sum,
+    is_periodic,
     verify_periodicity,
     vertical_sum,
 )
@@ -27,7 +28,10 @@ print("\nTaylor coefficients (Mal'cev coordinates):")
 for i, g in enumerate(orbit.coefficients):
     print(f"  g_{i}: {model.malcev_coords(g)}")
 
-print(f"\nexactly q-periodic over n in [0, 2q]: {verify_periodicity(orbit, q, q)}")
+print(f"\nq-periodic mod the lattice, proved from the defect's Taylor coefficients: "
+      f"{is_periodic(orbit, q)}")
+print(f"sampled check, g(n+q)^-1 g(n) in the lattice for n in [-q, q]: "
+      f"{verify_periodicity(orbit, q, q)}")
 print(f"exactly {bound}-irrational: {is_irrational(orbit, bound)[0]}")
 
 characters = enumerate_characters(model, 1, bound)

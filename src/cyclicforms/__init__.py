@@ -68,6 +68,7 @@ from .periodic import (
     build_periodic_irrational,
     character_sum,
     irrational_qth_root,
+    is_periodic,
     verify_periodicity,
     vertical_sum,
 )

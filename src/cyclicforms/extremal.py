@@ -97,6 +97,22 @@ def _mask_to_subset(n: int, mask: int) -> CyclicSubset:
     return CyclicSubset(n, tuple(x for x in range(n) if (mask >> x) & 1))
 
 
+def _size_bound(alpha, n: int, minimize: bool) -> int:
+    """The subset size bound: ceil(alpha N) (minimize) or floor(alpha N), clamped to [0, N]."""
+    if n <= 0:
+        raise ValueError("modulus must be positive")
+    alpha = as_fraction(alpha)
+    if minimize:
+        size = max(0, math.ceil(alpha * n))
+        if size > n:
+            raise ValueError("alpha N exceeds N")
+    else:
+        size = min(n, math.floor(alpha * n))
+        if size < 0:
+            raise ValueError("alpha must be non-negative")
+    return size
+
+
 def _exact_scan(
     system: LinearFormSystem, n: int, size_bound: int, minimize: bool
 ) -> ExtremalResult:
@@ -141,11 +157,7 @@ def min_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
     O(N 2^N) time, O(2^N) memory; BudgetExceeded when 2^N exceeds
     ``DEFAULT_SUBSET_BUDGET``.
     """
-    alpha = as_fraction(alpha)
-    size_min = max(0, math.ceil(alpha * n))
-    if size_min > n:
-        raise ValueError("alpha N exceeds N")
-    return _exact_scan(system, n, size_min, True)
+    return _exact_scan(system, n, _size_bound(alpha, n, True), True)
 
 
 def max_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
@@ -153,11 +165,7 @@ def max_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
 
     Same scan and tie-break as ``min_sol_exact``: O(N 2^N) time, O(2^N) memory.
     """
-    alpha = as_fraction(alpha)
-    size_max = min(n, math.floor(alpha * n))
-    if size_max < 0:
-        raise ValueError("alpha must be non-negative")
-    return _exact_scan(system, n, size_max, False)
+    return _exact_scan(system, n, _size_bound(alpha, n, False), False)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +276,8 @@ def _anneal(
     budget extends the same trajectory: best-so-far is monotone in the
     budget at fixed seed.
     """
+    if moves < 0:
+        raise ValueError(f"the move budget must be non-negative, got {moves}")
     rng = np.random.default_rng(seed)
     grid, uses, degree, top = _anneal_setup(system, n)
     total = n**system.num_variables
@@ -331,10 +341,7 @@ def min_sol_heuristic(
     budget: int = 4000,
 ) -> ExtremalResult:
     """Certificate-backed upper bound on m(alpha, N) by seeded annealing."""
-    alpha = as_fraction(alpha)
-    size = max(0, math.ceil(alpha * n))
-    if size > n:
-        raise ValueError("alpha N exceeds N")
+    size = _size_bound(alpha, n, True)
     mask, count = _anneal(system, n, size, seed, budget, minimize=True)
     cert = _mask_to_subset(n, mask)
     value = Fraction(count, n**system.num_variables)
@@ -350,10 +357,7 @@ def max_sol_heuristic(
     budget: int = 4000,
 ) -> ExtremalResult:
     """Certificate-backed lower bound on M(alpha, N) by seeded annealing."""
-    alpha = as_fraction(alpha)
-    size = min(n, math.floor(alpha * n))
-    if size < 0:
-        raise ValueError("alpha must be non-negative")
+    size = _size_bound(alpha, n, False)
     mask, count = _anneal(system, n, size, seed, budget, minimize=False)
     cert = _mask_to_subset(n, mask)
     value = Fraction(count, n**system.num_variables)
@@ -617,8 +621,7 @@ def dependent_pair_exact(k: int, p: int, alpha=None):
     if alpha is None:
         return density, None
 
-    alpha = as_fraction(alpha)
-    size_min = max(0, math.ceil(alpha * p))
+    size_min = _size_bound(alpha, p, True)
     num_cycles = len(cycles)
     # Fill slots in marginal-cost order.  Cost 0: round-robin up to
     # floor(n/2) per cycle.  Cost 1: one extra per cycle when n is odd, in

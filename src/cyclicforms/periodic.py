@@ -7,9 +7,15 @@ remainder, cancels the remainder with a G_i-valued antiderivative whose
 coefficients solve an explicit triangular system by exact nilpotent q-th
 roots, and then tops up the i-th coefficient with a q-th root mod the
 level lattice chosen so the coefficient is irrational at the requested
-complexity bound.  Every stage claim is re-verified with exact
-coordinate checks before the next stage runs; a failure is a bug, never
-an expected outcome.
+complexity bound.  Each stage proves its invariant once, exactly, and
+the next stage relies on it; a failure is a bug, never an expected
+outcome.  Stage s proves q-periodicity mod the lattice.
+
+``is_periodic`` is that proof as a predicate: the defect's Taylor
+coefficients have integral coordinates.  ``verify_periodicity`` is the
+independent sampled reference.  ``character_sum`` and ``vertical_sum``
+read one orbit g(0), ..., g(q-1) per q, split into fractional and
+integer parts and cached on the sequence once ``is_periodic`` holds.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .counting import as_fraction
 from .nil.characters import LevelCharacter, _dot, _l1_ball, element_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
-from .primes import is_prime, smallest_prime_factor
+from .primes import smallest_prime_factor
 
 
 class ConstructionError(ValueError):
@@ -113,30 +119,16 @@ def irrational_qth_root(
     return w
 
 
-def _integral_head(coords, cutoff: int) -> list[int]:
-    head = []
-    for a in range(cutoff):
-        c = coords[a]
-        if c.denominator != 1:
-            raise AssertionError(
-                "defect coefficient has a non-integral coordinate above the active level; "
-                "stage invariant broken"
-            )
-        head.append(int(c))
-    return head
-
-
-def _lattice_head_split(
-    g: PolynomialSequence, i: int
-) -> tuple[PolynomialSequence, PolynomialSequence]:
-    """Split h = gamma . h_tilde with gamma a lattice polynomial and h_tilde G_i-valued."""
+def _lattice_head_split(g: PolynomialSequence, i: int) -> PolynomialSequence:
+    """h_tilde in h = gamma . h_tilde, with gamma a lattice polynomial and h_tilde G_i-valued."""
     model = g.model
     s = model.degree
     cutoff = model.dim - model.level_dim(i)
     gamma_coeffs = []
     for h_j in g.coefficients:
-        coords = model.malcev_coords(h_j)
-        head = _integral_head(coords, cutoff)
+        # integral: the previous stage proved _integral_above_level(g, i), and at
+        # stage 1 the head is empty
+        head = list(model.head_coords(h_j, cutoff))
         gamma_coeffs.append(model.from_coords(head + [Fraction(0)] * (model.dim - cutoff)))
     gamma = PolynomialSequence(model, tuple(gamma_coeffs))
     tilde_values = [
@@ -146,7 +138,7 @@ def _lattice_head_split(
     for j, c in enumerate(h_tilde.coefficients):
         if not model.in_level(c, i):
             raise AssertionError(f"remainder coefficient {j} escaped G_{i}")
-    return gamma, h_tilde
+    return h_tilde
 
 
 def _antiderivative(
@@ -180,7 +172,7 @@ def _integral_above_level(defect: PolynomialSequence, i: int) -> bool:
     model = defect.model
     cutoff = model.dim - model.level_dim(i)
     return all(
-        c.denominator == 1 for g in defect.coefficients for c in model.malcev_coords(g)[:cutoff]
+        c.denominator == 1 for g in defect.coefficients for c in model.head_coords(g, cutoff)
     )
 
 
@@ -192,10 +184,9 @@ def build_periodic_irrational(
 ) -> PolynomialSequence:
     """A q-periodic (mod the lattice), A-irrational polynomial sequence.
 
-    Requires q >= (2A)^m with p_1(q) >= A; q should be prime (composite q
-    whose smallest prime factor exceeds both A and the degree also
-    works, and is accepted).  Periodicity and irrationality are verified
-    exactly before the sequence is returned.
+    Requires q >= (2A)^m, p_1(q) >= A and p_1(q) > s, the degree; q may
+    be composite.  Periodicity and irrationality are verified exactly
+    before the sequence is returned.
     """
     _require(not model.prefiltration, "construction needs a genuine filtration")
     bound_f = _nonnegative_bound(bound)
@@ -204,16 +195,13 @@ def build_periodic_irrational(
     _require(q >= (2 * bound_f) ** m, f"need q >= (2A)^m = {(2 * bound_f) ** m}")
     _require(smallest_prime_factor(q) >= bound_f, f"need p_1({q}) >= {bound}")
     # q | C(q, j) for j <= s makes the appended root's contribution periodic;
-    # that needs every prime factor of q to exceed the degree
-    _require(
-        is_prime(q) or smallest_prime_factor(q) > s,
-        f"need q prime or p_1(q) > degree {s}",
-    )
+    # that needs every prime factor of q to exceed the degree, prime q included
+    _require(smallest_prime_factor(q) > s, f"need p_1({q}) > degree {s}")
     rng = np.random.default_rng(seed)
     g = PolynomialSequence.identity(model)
     defect = g.defect(q)
     for i in range(1, s + 1):
-        _gamma, h_tilde = _lattice_head_split(defect, i)
+        h_tilde = _lattice_head_split(defect, i)
         ell_poly, ell_top = _antiderivative(model, h_tilde, i, q)
         w = irrational_qth_root(model, i, ell_top, q, bound_f, rng)
         values = [
@@ -232,6 +220,11 @@ def build_periodic_irrational(
     return g
 
 
+def is_periodic(p: PolynomialSequence, q: int) -> bool:
+    """Exact proof that g(n+q)^{-1} g(n) lies in Gamma for every integer n."""
+    return _integral_above_level(p.defect(q), p.model.degree + 1)
+
+
 def verify_periodicity(p: PolynomialSequence, q: int, sample_range: int) -> bool:
     """Check g(n+q)^{-1} g(n) in Gamma for n in [-sample_range, sample_range]."""
     model = p.model
@@ -242,25 +235,16 @@ def verify_periodicity(p: PolynomialSequence, q: int, sample_range: int) -> bool
     return True
 
 
-def _require_exact_periodicity(p: PolynomialSequence, q: int) -> None:
-    cache = p.__dict__.setdefault("_periodicity_ok", set())
-    if q in cache:
-        return
-    if not _integral_above_level(p.defect(q), p.model.degree + 1):
-        raise ConstructionError("sequence is not q-periodic mod the lattice")
-    cache.add(q)
-
-
-def _orbit_head_coords(p: PolynomialSequence, q: int, head_len: int) -> list[tuple[Fraction, ...]]:
-    """Head coordinates of g(0), ..., g(q-1); cached, character-independent."""
-    cache = p.__dict__.setdefault("_head_orbit", {})
-    key = (q, head_len)
-    if key not in cache:
+def _orbit(p: PolynomialSequence, q: int) -> list[tuple[list[Fraction], list[int]]]:
+    """Split sweeps (t, a) of g(0), ..., g(q-1), cached per q once ``is_periodic`` holds."""
+    cache = p.__dict__.setdefault("_orbit", {})
+    if q not in cache:
+        _require(is_periodic(p, q), "sequence is not q-periodic mod the lattice")
         model = p.model
-        cache[key] = [
-            model.head_coords(taylor_eval(p, n), head_len) for n in range(q)
+        cache[q] = [
+            model.malcev_sweep(taylor_eval(p, n), model.dim, split=True) for n in range(q)
         ]
-    return cache[key]
+    return cache[q]
 
 
 def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
@@ -275,7 +259,6 @@ def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
     if xi.level != 1:
         raise ValueError("character sums are taken against level-1 characters")
     model = p.model
-    _require_exact_periodicity(p, q)
     blk = model.block(1)
     k = xi.frequency
     if len(k) != len(blk):
@@ -289,7 +272,7 @@ def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
 
     theta0 = phase_of(model.head_coords(p.coefficients[0], head_len))
     theta1 = phase_of(model.head_coords(p.coefficients[1], head_len))
-    for n, coords in enumerate(_orbit_head_coords(p, q, head_len)):
+    for n, (coords, _int_parts) in enumerate(_orbit(p, q)):
         observed = phase_of(coords)
         predicted = theta0 + n * theta1
         if (observed - predicted).denominator != 1:
@@ -310,11 +293,8 @@ def vertical_sum(p: PolynomialSequence, q: int) -> float:
     Heisenberg models this probes the equidistribution of the vertical
     circle, at Gauss-sum scale for a generic irrational orbit.
     """
-    model = p.model
-    _require_exact_periodicity(p, q)
     total = 0j
-    for n in range(q):
+    for coords, int_parts in _orbit(p, q):
         # psi({g})_m = t_m - a_m, from the sweep that splits g = {g}[g]
-        coords, int_parts = model.malcev_sweep(taylor_eval(p, n), model.dim, split=True)
         total += cmath.exp(2j * cmath.pi * float(coords[-1] - int_parts[-1]))
     return abs(total) / q

@@ -297,6 +297,36 @@ def test_negative_irrationality_bound_is_an_input_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("model, q", [("heisenberg-lcs", 2), ("heisenberg-deg3", 3)])
+def test_prime_q_at_most_the_degree_is_an_input_error(capsys, model, q):
+    code = main(["nil", "build-periodic", "--model", model, "--q", str(q), "--A", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: need p_1(")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["max-sol", "--heuristic", "--budget", "-1", "--alpha", "1/2", "--n", "11"],
+         "move budget"),
+        (["min-sol", "--heuristic", "--budget", "-1", "--alpha", "1/2", "--n", "11"],
+         "move budget"),
+        (["max-sol", "--alpha", "1/2", "--n", "-3"], "modulus must be positive"),
+        (["min-sol", "--alpha", "1/2", "--n", "-3"], "modulus must be positive"),
+        (["min-sol", "--heuristic", "--alpha", "1/2", "--n", "0"], "modulus must be positive"),
+    ],
+)
+def test_extremal_bad_size_or_budget_is_an_input_error(capsys, system_file, argv, message):
+    code = main([*argv, "--system", system_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_budget_exhaustion_exit_code(capsys, system_file):
     code, _ = _run(
         capsys,

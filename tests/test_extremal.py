@@ -127,6 +127,22 @@ def test_max_sol_exact_rejects_negative_alpha():
     assert max_sol_exact(three_ap(), Fraction(1, 7), 6).value == 0
 
 
+@pytest.mark.parametrize("solver", [min_sol_exact, max_sol_exact, min_sol_heuristic, max_sol_heuristic])
+def test_size_bound_rejects_nonpositive_modulus_first(solver):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            solver(three_ap(), Fraction(1, 2), n)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            solver(three_ap(), Fraction(-1, 2), n)  # before the alpha check
+
+
+def test_heuristics_reject_a_negative_move_budget():
+    for solver in (min_sol_heuristic, max_sol_heuristic):
+        with pytest.raises(ValueError, match="move budget"):
+            solver(three_ap(), Fraction(1, 2), 11, seed=0, budget=-1)
+        assert solver(three_ap(), Fraction(1, 2), 11, seed=0, budget=0).detail["moves"] == 0
+
+
 def test_complement_duality_bridge():
     # the complement of a minimizer at density a is a feasible maximizer
     # candidate at density 1 - a

@@ -1,13 +1,18 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicforms.nil import (
     LevelCharacter,
     PolynomialSequence,
     enumerate_characters,
+    heisenberg_deg3,
     heisenberg_lcs,
     is_irrational,
+    model_by_name,
     torus,
 )
 from cyclicforms.periodic import (
@@ -15,9 +20,18 @@ from cyclicforms.periodic import (
     build_periodic_irrational,
     character_sum,
     irrational_qth_root,
+    is_periodic,
     verify_periodicity,
     vertical_sum,
 )
+
+_MODELS = ["heisenberg-lcs", "heisenberg-deg3", "torus:m=2,s=2"]
+_TINY_BUILDS = [("torus:m=2,s=2", 5, 1), ("heisenberg-deg3", 11, 1), ("heisenberg-lcs", 11, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(name, q, bound):
+    return build_periodic_irrational(model_by_name(name), q, bound, seed=1)
 
 
 def test_qth_root_abelian_example():
@@ -84,6 +98,11 @@ def test_build_preconditions():
         build_periodic_irrational(t, 15, 2)  # 15 < 16 and p_1 = 3 > A fails too
     with pytest.raises(ConstructionError, match="nonnegative"):
         build_periodic_irrational(t, 11, -1)  # passes every other precondition
+    # a prime q at or below the degree: q no longer divides C(q, q) = 1
+    for model, q in ((m, 2), (heisenberg_deg3(), 2), (heisenberg_deg3(), 3), (torus(1, 3), 3)):
+        with pytest.raises(ConstructionError, match="degree"):
+            build_periodic_irrational(model, q, 0)
+    assert is_periodic(build_periodic_irrational(torus(1, 3), 5, 0), 5)
 
 
 def test_build_heisenberg_small():
@@ -162,3 +181,75 @@ def test_stage_invariant_monotone_irrationality():
                 continue
             val = k1 * head[0] + k2 * head[1]
             assert val.denominator != 1
+
+
+@st.composite
+def _sequences_and_periods(draw):
+    """A level-respecting sequence and a period: built, lattice or random rational."""
+    if draw(st.booleans()):
+        name, q, bound = draw(st.sampled_from(_TINY_BUILDS))
+        return _built(name, q, bound), draw(st.sampled_from([q, 2 * q, q + 1, q + 2]))
+    model = model_by_name(draw(st.sampled_from(_MODELS)))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    denominators = [1] if draw(st.booleans()) else [1, 2, q, q * q]
+    coeffs = []
+    for i in range(model.degree + 1):
+        cutoff = model.dim - model.level_dim(i)
+        tail = [
+            Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(denominators)))
+            for _ in range(model.dim - cutoff)
+        ]
+        coeffs.append(model.from_coords([Fraction(0)] * cutoff + tail))
+    return PolynomialSequence(model, tuple(coeffs)), q
+
+
+@given(_sequences_and_periods())
+@settings(max_examples=100, deadline=None)
+def test_is_periodic_matches_the_sampled_reference(case):
+    # the defect has degree s, so 2s + 1 consecutive samples decide it
+    p, q = case
+    assert is_periodic(p, q) == verify_periodicity(p, q, p.model.degree)
+
+
+def test_is_periodic_both_outcomes():
+    for name, q, bound in _TINY_BUILDS:
+        g = _built(name, q, bound)
+        assert is_periodic(g, q) and is_periodic(g, 2 * q)
+        assert not is_periodic(g, q + 1)
+    m = heisenberg_lcs()
+    lattice = PolynomialSequence(m, (m.from_coords([1, -2, 3]), m.from_coords([2, 1, 0]),
+                                     m.from_coords([0, 0, 5])))
+    assert all(is_periodic(lattice, q) for q in (1, 2, 3, 10))
+
+
+def _sums(p, q, characters_first):
+    characters = enumerate_characters(p.model, 1, 1)
+    if characters_first:
+        chars = [character_sum(p, xi, q) for xi in characters]
+        return chars, vertical_sum(p, q)
+    vert = vertical_sum(p, q)
+    return [character_sum(p, xi, q) for xi in characters], vert
+
+
+def test_orbit_sums_do_not_depend_on_call_order_or_earlier_periods():
+    m = heisenberg_lcs()
+    fresh = [build_periodic_irrational(m, 11, 1, seed=1) for _ in range(3)]
+    chars, vert = _sums(fresh[0], 11, True)
+    assert _sums(fresh[1], 11, False) == (chars, vert)
+    # 2q on a sequence that has already cached its orbit at q, against a fresh one
+    chars2, vert2 = _sums(fresh[0], 22, False)
+    assert _sums(fresh[2], 22, True) == (chars2, vert2)
+    assert _sums(fresh[0], 11, False) == (chars, vert)
+    assert chars2 == chars
+    assert vert2 == pytest.approx(vert, abs=1e-12)
+
+
+def test_vertical_sum_rejects_a_non_period():
+    t = torus(1, 1)
+    linear = PolynomialSequence(t, (t.identity(), t.from_coords([Fraction(1, 7)])))
+    with pytest.raises(ConstructionError, match="not q-periodic"):
+        vertical_sum(linear, 5)
+    m = heisenberg_lcs()
+    g = build_periodic_irrational(m, 11, 1, seed=1)
+    with pytest.raises(ConstructionError, match="not q-periodic"):
+        vertical_sum(g, 12)
