@@ -49,6 +49,7 @@ from .nil import (
     element_irrational,
     heisenberg_deg3,
     heisenberg_lcs,
+    is_irrational,
     taylor_eval,
     taylor_expand,
     torus,
@@ -56,6 +57,7 @@ from .nil import (
 from .periodic import (
     build_periodic_irrational,
     character_sum,
+    is_periodic,
     vertical_sum,
     verify_periodicity,
 )
@@ -360,23 +362,17 @@ def _run_periodic(model, q: int, bound: int, label: str, vertical_tol: float) ->
     t0 = time.perf_counter()
     failures = []
     poly = build_periodic_irrational(model, q, bound, seed=7)
-    for n in range(0, 2 * q + 1):
-        d = taylor_eval(poly, n + q).inverse() * taylor_eval(poly, n)
-        if not model.in_lattice(d):
-            failures.append(f"periodicity fails at n={n}")
-            break
+    if not is_periodic(poly, q):
+        failures.append("is_periodic rejected the sequence")
     if not verify_periodicity(poly, q, q):
         failures.append("verify_periodicity rejected the sequence")
-    from .nil import is_irrational
-
     ok, witness = is_irrational(poly, bound)
     if not ok:
         failures.append(f"not irrational: {witness}")
-    zero_failures = 0
-    for xi in enumerate_characters(model, 1, bound):
+    characters = enumerate_characters(model, 1, bound)
+    for xi in characters:
         value = character_sum(poly, xi, q)
         if value != 0:
-            zero_failures += 1
             failures.append(f"character sum for k={xi.frequency} is {value}, not 0")
     vert = vertical_sum(poly, q)
     if vert > vertical_tol:
@@ -388,7 +384,7 @@ def _run_periodic(model, q: int, bound: int, label: str, vertical_tol: float) ->
         q=q,
         bound=bound,
         vertical=vert,
-        characters=len(enumerate_characters(model, 1, bound)),
+        characters=len(characters),
     )
 
 

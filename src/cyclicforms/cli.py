@@ -103,14 +103,12 @@ def cmd_sol(args) -> int:
 
 
 def cmd_gowers(args) -> int:
-    if args.set:
+    if args.set is not None:
         f = CyclicSubset.load(args.set).indicator()
         source = args.set
-    elif args.function:
+    else:
         f = _load_function_csv(args.function)
         source = args.function
-    else:
-        raise ValueError("need --set or --function")
     value = gowers_norm(f, args.d)
     _emit(
         args,
@@ -311,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sol)
 
     p = sub.add_parser("gowers", help="Gowers uniformity norm of a set or function")
-    p.add_argument("--set")
-    p.add_argument("--function")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--set")
+    group.add_argument("--function")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_gowers)
 

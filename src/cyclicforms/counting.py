@@ -75,7 +75,7 @@ class CyclicFunction:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.modulus,):
             raise ValueError(f"need exactly {self.modulus} values")
-        if np.max(np.abs(vals)) > 1 + MAGNITUDE_SLACK:
+        if not np.all(np.abs(vals) <= 1 + MAGNITUDE_SLACK):  # NaN fails this too
             raise ValueError("values must lie in the unit disc")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

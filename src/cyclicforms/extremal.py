@@ -98,19 +98,13 @@ def _mask_to_subset(n: int, mask: int) -> CyclicSubset:
 
 
 def _size_bound(alpha, n: int, minimize: bool) -> int:
-    """The subset size bound: ceil(alpha N) (minimize) or floor(alpha N), clamped to [0, N]."""
+    """The subset size bound: ceil(alpha N) (minimize) or floor(alpha N), for 0 <= alpha <= 1."""
     if n <= 0:
         raise ValueError("modulus must be positive")
     alpha = as_fraction(alpha)
-    if minimize:
-        size = max(0, math.ceil(alpha * n))
-        if size > n:
-            raise ValueError("alpha N exceeds N")
-    else:
-        size = min(n, math.floor(alpha * n))
-        if size < 0:
-            raise ValueError("alpha must be non-negative")
-    return size
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie between 0 and 1, got {alpha}")
+    return math.ceil(alpha * n) if minimize else math.floor(alpha * n)
 
 
 def _exact_scan(
@@ -641,8 +635,6 @@ def dependent_pair_exact(k: int, p: int, alpha=None):
         more = min(left, order - counts[c])
         counts[c] += more
         left -= more
-    if left:
-        raise ValueError("alpha N exceeds N")
 
     chosen: list[int] = []
     for cyc, j in zip(cycles, counts):

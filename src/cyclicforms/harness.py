@@ -98,7 +98,7 @@ def scan_convergence(
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}; use exact or heuristic")
     if quantity in ("m", "M") and not 0 <= as_fraction(alpha) <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise ValueError(f"alpha must lie between 0 and 1, got {alpha}")
     records: list[ScanRecord] = []
     scan_start = time.perf_counter()
     for n in sorted(moduli):

@@ -15,7 +15,9 @@ outcome.  Stage s proves q-periodicity mod the lattice.
 coefficients have integral coordinates.  ``verify_periodicity`` is the
 independent sampled reference.  ``character_sum`` and ``vertical_sum``
 read one orbit g(0), ..., g(q-1) per q, split into fractional and
-integer parts and cached on the sequence once ``is_periodic`` holds.
+integer parts and cached on the sequence once ``is_periodic`` holds and
+the level-1 block is proven linear in n for every level-1 character at
+once; a character sum is then its closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from .counting import as_fraction
-from .nil.characters import LevelCharacter, _dot, _l1_ball, element_irrational
+from .nil.characters import LevelCharacter, _annihilator_rows, _dot, _l1_ball
+from .nil.characters import annihilator_lattice, element_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
 from .primes import smallest_prime_factor
@@ -235,48 +238,56 @@ def verify_periodicity(p: PolynomialSequence, q: int, sample_range: int) -> bool
     return True
 
 
+def _level1_taylor(p: PolynomialSequence) -> list[tuple[Fraction, ...]]:
+    """The level-1 blocks of psi(g_0) and psi(g_1): the orbit's start and step."""
+    model = p.model
+    blk = model.block(1)
+    return [model.head_coords(g, blk.stop)[blk.start :] for g in p.coefficients[:2]]
+
+
 def _orbit(p: PolynomialSequence, q: int) -> list[tuple[list[Fraction], list[int]]]:
-    """Split sweeps (t, a) of g(0), ..., g(q-1), cached per q once ``is_periodic`` holds."""
+    """Split sweeps (t, a) of g(0), ..., g(q-1), cached per q once proven.
+
+    The proof is ``is_periodic`` plus level-1 linearity: each vector of
+    the saturated frequency basis ``annihilator_lattice(model, 1)`` is
+    integral on the level-1 drift t(n) - psi(g_0) - n psi(g_1), so, as
+    psi({g(n)}) = t(n) - a(n) with a(n) integral, every level-1
+    character phase of {g(n)} is theta0 + n theta1 mod 1.
+    """
     cache = p.__dict__.setdefault("_orbit", {})
     if q not in cache:
         _require(is_periodic(p, q), "sequence is not q-periodic mod the lattice")
         model = p.model
-        cache[q] = [
-            model.malcev_sweep(taylor_eval(p, n), model.dim, split=True) for n in range(q)
-        ]
+        blk = model.block(1)
+        start, step = _level1_taylor(p)
+        basis = annihilator_lattice(model, 1)
+        orbit = [model.malcev_sweep(taylor_eval(p, n), model.dim, split=True) for n in range(q)]
+        for n, (coords, _int_parts) in enumerate(orbit):
+            drift = [t - a - n * b for t, a, b in zip(coords[blk.start : blk.stop], start, step)]
+            if any(_dot(k, drift).denominator != 1 for k in basis):
+                raise AssertionError("level-1 phase is not linear in n; orbit is inconsistent")
+        cache[q] = orbit
     return cache[q]
 
 
 def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
     """E_{n in [q]} e(xi-phase of the level-1 coordinates of {g(n)}).
 
-    The level-1 block of psi(g(n)) is exactly linear in n, so the sum is
-    a full-period geometric sum: it is exactly 0 unless the step
-    frequency vanishes mod q, in which case it is a single rounded root
-    of unity.  The linear structure is re-derived from the fractional
-    parts of the actual orbit, exactly, before the closed form is used.
+    ``_orbit`` proves the phase is theta0 + n theta1 mod 1, with theta0
+    and theta1 read off the Taylor coefficients g_0 and g_1, so the sum is
+    a full-period geometric sum: exactly 0 unless q theta1 vanishes mod q,
+    in which case it is a single rounded root of unity.
     """
     if xi.level != 1:
         raise ValueError("character sums are taken against level-1 characters")
     model = p.model
-    blk = model.block(1)
     k = xi.frequency
-    if len(k) != len(blk):
+    if len(k) != model.block_rank(1):
         raise ValueError("frequency length does not match the level-1 block")
-    head_len = blk.stop
-
-    def phase_of(coords) -> Fraction:
-        # the fractional part shifts head coordinates by integers, so the
-        # phase of {g} mod 1 can be read off g itself
-        return _dot(k, coords[blk.start : blk.stop])
-
-    theta0 = phase_of(model.head_coords(p.coefficients[0], head_len))
-    theta1 = phase_of(model.head_coords(p.coefficients[1], head_len))
-    for n, (coords, _int_parts) in enumerate(_orbit(p, q)):
-        observed = phase_of(coords)
-        predicted = theta0 + n * theta1
-        if (observed - predicted).denominator != 1:
-            raise AssertionError("level-1 phase is not linear in n; orbit is inconsistent")
+    if any(_dot(k, row) for row in _annihilator_rows(model, 1)):
+        raise ValueError(f"frequency {k} is not a level-1 character of the model")
+    _orbit(p, q)
+    theta0, theta1 = (_dot(k, block) for block in _level1_taylor(p))
     step = theta1 * q
     if step.denominator != 1:
         raise AssertionError("periodic orbit must have q * theta1 integral")

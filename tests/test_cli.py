@@ -68,6 +68,27 @@ def test_gowers_function_csv_must_cover_range(capsys, tmp_path):
     assert code == 1
 
 
+def test_gowers_function_csv_rejects_nan(capsys, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("0,0.5\n1,nan\n")
+    code = main(["gowers", "--function", str(path), "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: values must lie in the unit disc\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("inputs", [["--set", "{set}", "--function", "{fn}"], []], ids=["both", "neither"])
+def test_gowers_needs_exactly_one_input(capsys, set_file, tmp_path, inputs):
+    path = tmp_path / "f.csv"
+    path.write_text("0,0.5\n1,0.5\n")
+    argv = [x.format(set=set_file, fn=path) for x in inputs]
+    with pytest.raises(SystemExit) as exc:
+        main(["gowers", *argv, "--d", "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_min_sol_exact_command(capsys, system_file):
     code, out = _run(
         capsys,
@@ -317,6 +338,7 @@ def test_prime_q_at_most_the_degree_is_an_input_error(capsys, model, q):
         (["max-sol", "--alpha", "1/2", "--n", "-3"], "modulus must be positive"),
         (["min-sol", "--alpha", "1/2", "--n", "-3"], "modulus must be positive"),
         (["min-sol", "--heuristic", "--alpha", "1/2", "--n", "0"], "modulus must be positive"),
+        (["max-sol", "--alpha", "3/2", "--n", "7"], "alpha must lie between 0 and 1"),
     ],
 )
 def test_extremal_bad_size_or_budget_is_an_input_error(capsys, system_file, argv, message):

@@ -51,6 +51,9 @@ def test_cyclic_function_validation():
         CyclicFunction(4, np.ones(3))
     with pytest.raises(ValueError):
         CyclicFunction(3, np.array([1.0, 2.0, 0.0]))
+    for bad in (np.nan, complex(np.nan, 0), complex(0, np.nan), np.inf):
+        with pytest.raises(ValueError, match="unit disc"):
+            CyclicFunction(3, np.array([0.5, bad, 0.0]))
 
 
 def test_subset_file_round_trip(tmp_path):

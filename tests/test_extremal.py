@@ -136,6 +136,15 @@ def test_size_bound_rejects_nonpositive_modulus_first(solver):
             solver(three_ap(), Fraction(-1, 2), n)  # before the alpha check
 
 
+@pytest.mark.parametrize("solver", [min_sol_exact, max_sol_exact, min_sol_heuristic, max_sol_heuristic])
+def test_size_bound_rejects_alpha_outside_the_unit_interval(solver):
+    for alpha in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="alpha must lie between 0 and 1"):
+            solver(three_ap(), alpha, 7)
+    for alpha in (Fraction(0), Fraction(1)):  # both ends are allowed
+        assert len(solver(three_ap(), alpha, 7).certificate) == 7 * alpha
+
+
 def test_heuristics_reject_a_negative_move_budget():
     for solver in (min_sol_heuristic, max_sol_heuristic):
         with pytest.raises(ValueError, match="move budget"):
@@ -526,11 +535,15 @@ def test_dependent_pair_rejects_bad_input():
         dependent_pair_exact(1, 7)
     with pytest.raises(ValueError):
         dependent_pair_exact(2, 9)
+    for alpha in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="alpha must lie between 0 and 1"):
+            dependent_pair_exact(2, 7, alpha)
+    assert len(dependent_pair_exact(2, 7, Fraction(1))[1].certificate) == 7
 
 
 def test_dependent_pair_certificates_pinned():
     # Every prime p <= 61, k in {2, 3, -2, -3, 5} plus k = 1 and k = -1 mod p
-    # (cycle orders 1 and 2), every size 0..p+1; the last size is an error.
+    # (cycle orders 1 and 2), every size 0..p+1; the last size is an alpha > 1 error.
     # The digest covers both certificates and the minimum of each case.
     digest = hashlib.sha256()
     cases = 0
@@ -550,7 +563,7 @@ def test_dependent_pair_certificates_pinned():
                 digest.update(line.encode() + b"\n")
                 cases += 1
     assert cases == 3734
-    assert digest.hexdigest() == "ed2714ee1b7528f0a799797bbccc78a16c086dfbb46cdb62f297ba7b69a05646"
+    assert digest.hexdigest() == "d0f89d83168419aa253f2d0193b79dc5b37d86632b0ff6ee12c84f3d105b43a8"
 
 
 def test_weyl_set_contract():

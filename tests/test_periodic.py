@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclicforms import periodic
 from cyclicforms.nil import (
+    FilteredNilmanifoldModel,
     LevelCharacter,
     PolynomialSequence,
     enumerate_characters,
@@ -253,3 +255,37 @@ def test_vertical_sum_rejects_a_non_period():
     g = build_periodic_irrational(m, 11, 1, seed=1)
     with pytest.raises(ConstructionError, match="not q-periodic"):
         vertical_sum(g, 12)
+
+
+def test_character_sums_on_a_prefiltration_use_only_character_directions():
+    # G_1 = span(y, z) and only k = (k_y, 0) is a character; the split sweep's
+    # z coordinate drifts by 2n/7, which no character sees
+    h = heisenberg_lcs()
+    m = FilteredNilmanifoldModel(kappa=3, basis=h.basis, level_dims=(3, 2), prefiltration=True)
+    p = PolynomialSequence(m, (m.from_coords([Fraction(3, 2), 0, 0]),
+                               m.from_coords([0, Fraction(2, 7), Fraction(3, 7)])))
+    characters = enumerate_characters(m, 1, 2)
+    assert [xi.frequency for xi in characters] == [(-2, 0), (-1, 0), (1, 0), (2, 0)]
+    assert [character_sum(p, xi, 7) for xi in characters] == [0j] * 4
+    with pytest.raises(ValueError, match="not a level-1 character"):
+        character_sum(p, LevelCharacter(level=1, frequency=(0, 1)), 7)
+
+
+def test_a_perturbed_orbit_point_fails_the_linearity_proof(monkeypatch):
+    m = heisenberg_lcs()
+    g = build_periodic_irrational(m, 11, 1, seed=1)
+    shift = m.from_level_coords(1, [Fraction(1, 3), 0])  # moves the character (1, 0)
+    exact = periodic.taylor_eval
+
+    def perturbed(p, n):
+        return exact(p, n) * shift if n == 3 else exact(p, n)
+
+    monkeypatch.setattr(periodic, "taylor_eval", perturbed)
+    assert is_periodic(g, 11)  # reads the defect through nil.poly, not the orbit
+    for xi in enumerate_characters(m, 1, 1):
+        with pytest.raises(AssertionError, match="not linear in n"):
+            character_sum(g, xi, 11)
+    with pytest.raises(AssertionError, match="not linear in n"):
+        vertical_sum(g, 11)
+    monkeypatch.undo()
+    assert all(character_sum(g, xi, 11) == 0 for xi in enumerate_characters(m, 1, 1))
