@@ -309,6 +309,39 @@ def test_model_validation_rejects_bad_filtration():
         FilteredNilmanifoldModel(kappa=3, basis=(x, y, z), level_dims=(3, 3))
 
 
+def _unit(kappa, i, j):
+    return [[int((r, c) == (i, j)) for c in range(kappa)] for r in range(kappa)]
+
+
+_X, _Y, _Z = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "kappa, basis, level_dims, message",
+    [
+        (3, (_X, _Y, [[0, 2, 0], [0, 0, 0], [0, 0, 0]]), (3, 3, 1), "linearly independent"),
+        (3, (_X, _Y), (2, 2), "not bracket-closed"),
+        # [X_2, X_3] = X_1 leaves the tail span(X_2, X_3)
+        (3, (_Z, _X, _Y), (3, 3, 1), r"span\(X_2..X_3\) is not an ideal"),
+        # Heisenberg plus a central X_4 = E_03: [X_1, X_2] = X_3 misses G_2 = span(X_4)
+        (
+            4,
+            (_unit(4, 0, 1), _unit(4, 1, 2), _unit(4, 0, 2), _unit(4, 0, 3)),
+            (4, 4, 1),
+            r"\[G_1, G_1\] escapes G_2: bracket of X_1, X_2",
+        ),
+        # degree 1: the nonzero bracket lies past the degree, where G_2 is trivial
+        (3, (_X, _Y, _Z), (3, 3), r"\[G_1, G_1\] escapes G_2"),
+        # exp(X_2) exp(X_1) = exp(X_1) exp(X_2) exp(-Z) has third coordinate -1/2
+        (3, (_X, _Y, [[0, 0, 2], [0, 0, 0], [0, 0, 0]]), (3, 3, 1), "not closed under products"),
+    ],
+    ids=["dependent", "not-closed", "tail-not-ideal", "escapes", "past-degree", "lattice"],
+)
+def test_model_validation_messages(kappa, basis, level_dims, message):
+    with pytest.raises(ValueError, match=message):
+        FilteredNilmanifoldModel(kappa=kappa, basis=basis, level_dims=level_dims)
+
+
 def test_model_json_round_trip():
     m = heisenberg_deg3()
     again = FilteredNilmanifoldModel.from_json(m.to_json())
