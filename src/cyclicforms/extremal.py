@@ -327,6 +327,17 @@ def _anneal(
     return best_mask, sign * best_energy
 
 
+def _heuristic(
+    system: LinearFormSystem, alpha, n: int, seed: int, budget: int, minimize: bool
+) -> ExtremalResult:
+    mask, count = _anneal(system, n, _size_bound(alpha, n, minimize), seed, budget, minimize)
+    cert = _mask_to_subset(n, mask)
+    value = Fraction(count, n**system.num_variables)
+    _verify_exact(system, cert, value)
+    kind = "upperBound" if minimize else "lowerBound"
+    return ExtremalResult(value, cert, "heuristic", kind, {"seed": seed, "moves": budget})
+
+
 def min_sol_heuristic(
     system: LinearFormSystem,
     alpha,
@@ -335,12 +346,7 @@ def min_sol_heuristic(
     budget: int = 4000,
 ) -> ExtremalResult:
     """Certificate-backed upper bound on m(alpha, N) by seeded annealing."""
-    size = _size_bound(alpha, n, True)
-    mask, count = _anneal(system, n, size, seed, budget, minimize=True)
-    cert = _mask_to_subset(n, mask)
-    value = Fraction(count, n**system.num_variables)
-    _verify_exact(system, cert, value)
-    return ExtremalResult(value, cert, "heuristic", "upperBound", {"seed": seed, "moves": budget})
+    return _heuristic(system, alpha, n, seed, budget, minimize=True)
 
 
 def max_sol_heuristic(
@@ -351,12 +357,7 @@ def max_sol_heuristic(
     budget: int = 4000,
 ) -> ExtremalResult:
     """Certificate-backed lower bound on M(alpha, N) by seeded annealing."""
-    size = _size_bound(alpha, n, False)
-    mask, count = _anneal(system, n, size, seed, budget, minimize=False)
-    cert = _mask_to_subset(n, mask)
-    value = Fraction(count, n**system.num_variables)
-    _verify_exact(system, cert, value)
-    return ExtremalResult(value, cert, "heuristic", "lowerBound", {"seed": seed, "moves": budget})
+    return _heuristic(system, alpha, n, seed, budget, minimize=False)
 
 
 def max_sol(system: LinearFormSystem, alpha, n: int, mode: str = "exact", **kw) -> ExtremalResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,17 +133,15 @@ def size(system: LinearFormSystem) -> int:
     return max(system.num_variables, system.t, coeff)
 
 
+def _proportional(u: Sequence[int], v: Sequence[int]) -> bool:
+    """True iff u and v are linearly dependent over Q: every 2x2 minor vanishes."""
+    d = len(u)
+    return all(u[a] * v[b] == u[b] * v[a] for a in range(d) for b in range(a + 1, d))
+
+
 def pairwise_independent(system: LinearFormSystem) -> bool:
     """True iff every pair of forms is linearly independent over Q."""
-    rows = system.forms
-    d = system.num_variables
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            u, v = rows[i], rows[j]
-            if all(u[a] * v[b] == u[b] * v[a] for a in range(d) for b in range(a + 1, d)):
-                # all 2x2 minors vanish: proportional
-                return False
-    return True
+    return not any(_proportional(u, v) for u, v in combinations(system.forms, 2))
 
 
 class RationalSpan:
@@ -301,10 +300,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             negate_row(p)
         p += 1
 
+    # a is diagonal now; S is its diagonal, zero elsewhere
     s = [[a[i][j] if i == j else 0 for j in range(n_cols)] for i in range(n_rows)]
-    # a is diagonal now; keep S from it directly
-    for i in range(min(n_rows, n_cols)):
-        s[i][i] = a[i][i]
     return s, u, v
 
 
@@ -456,11 +453,8 @@ def as_dependent_pair(system: LinearFormSystem) -> int | None:
     if system.t != 2:
         return None
     u, v = system.forms
-    d = len(u)
-    for a in range(d):
-        for b in range(a + 1, d):
-            if u[a] * v[b] != u[b] * v[a]:
-                return None
+    if not _proportional(u, v):
+        return None
     # v = k u with rational k; integral only if u divides v componentwise
     for ua, va in zip(u, v):
         if ua != 0:

@@ -7,7 +7,6 @@ from .characters import (
     element_irrational,
     enumerate_characters,
     factor_coefficient,
-    in_vanishing_subgroup,
     is_irrational,
 )
 from .matrices import frac, mat
@@ -44,7 +43,6 @@ __all__ = [
     "frac",
     "heisenberg_deg3",
     "heisenberg_lcs",
-    "in_vanishing_subgroup",
     "is_irrational",
     "mat",
     "model_by_name",

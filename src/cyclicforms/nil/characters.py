@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from ..forms import RationalSpan
 from .model import FilteredNilmanifoldModel, UnitriangularElement
 from .poly import PolynomialSequence
 
@@ -67,6 +66,11 @@ def _annihilator_rows(model: FilteredNilmanifoldModel, i: int) -> list[tuple[Fra
     return sorted(row for row in rows if any(row))
 
 
+def _is_character(k: Sequence[int], rows: Sequence[Sequence[Fraction]]) -> bool:
+    """k kills every row of ``_annihilator_rows``: it is a character's frequency."""
+    return not any(_dot(k, row) for row in rows)
+
+
 def _l1_ball(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero integer vectors with |k|_1 <= bound, in lexicographic order."""
     if rank == 0:
@@ -106,26 +110,6 @@ def annihilator_lattice(model: FilteredNilmanifoldModel, i: int) -> list[tuple[i
     return [tuple(v[a][j] for a in range(rank)) for j in range(r, rank)]
 
 
-def in_vanishing_subgroup(
-    model: FilteredNilmanifoldModel, i: int, g: UnitriangularElement
-) -> bool:
-    """Membership in the subgroup that every i-th-level character kills.
-
-    That subgroup is generated by G_{i+1} and the commutators
-    [G_j, G_{i-j}]; in the rational matrix models it is the exponential
-    of the span of the corresponding Lie-algebra generators (iterated
-    corrections all land in G_{i+1}, which is already included), so the
-    test is exact span membership of log g.
-    """
-    from .matrices import mat_commutator, nilpotent_log, upper_entries
-
-    gens = [upper_entries(model.basis[a])
-            for a in range(model.dim - model.level_dim(i + 1), model.dim)]
-    gens += [upper_entries(mat_commutator(model.basis[a], model.basis[b]))
-             for a, b in _level_brackets(model, i)]
-    return RationalSpan(gens).contains(upper_entries(nilpotent_log(g.entries)))
-
-
 def enumerate_characters(
     model: FilteredNilmanifoldModel, i: int, complexity_bound
 ) -> list[LevelCharacter]:
@@ -137,11 +121,9 @@ def enumerate_characters(
     if rank == 0 or bound < 1:
         return []
     rows = _annihilator_rows(model, i)
-    out = []
-    for k in _l1_ball(rank, bound):
-        if all(sum(ki * x for ki, x in zip(k, row)) == 0 for row in rows):
-            out.append(LevelCharacter(level=i, frequency=k))
-    return out
+    return [
+        LevelCharacter(level=i, frequency=k) for k in _l1_ball(rank, bound) if _is_character(k, rows)
+    ]
 
 
 def is_irrational(p: PolynomialSequence, complexity_bound):

@@ -10,8 +10,10 @@ where the left entry is exactly 1, so a unitriangular product costs only
 its pairs of nonzero non-unit entries.  exp(tX) is a polynomial in t:
 ``exp_terms`` lists the nonzero terms X, X^2/2!, ... once, and
 ``exp_poly`` evaluates I + sum_k t^k X^k/k! with scalar multiply-adds.
-``nilpotent_exp`` is that polynomial at t = 1.  Every result is the
-same Fraction as the dense formula gives.
+``nilpotent_exp`` is that polynomial at t = 1.  Every power, root and
+inverse of a unitriangular g is the same polynomial for X = log g:
+g^k = exp(k log g), with k = 1/q for a q-th root and k = -1 for the
+inverse.  Every result is the same Fraction as the dense formula gives.
 """
 
 from __future__ import annotations
@@ -100,17 +102,6 @@ def is_unitriangular(a: Matrix) -> bool:
     return all(
         row[i] == 1 and all(x == 0 for x in row[:i]) for i, row in enumerate(a)
     )
-
-
-def unitriangular_inverse(a: Matrix) -> Matrix:
-    """Inverse via the terminating Neumann series (I + X)^-1 = sum (-X)^k."""
-    n = len(a)
-    minus_x = mat_sub(mat_identity(n), a)
-    out = term = mat_identity(n)
-    for _ in range(n - 1):
-        term = mat_mul(term, minus_x)
-        out = mat_add(out, term)
-    return out
 
 
 def exp_terms(x: Matrix) -> tuple[SparseTerm, ...]:

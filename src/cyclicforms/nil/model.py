@@ -12,10 +12,13 @@ Every coordinate is read by one sweep, ``malcev_sweep``: ``malcev_coords``,
 ``frac_int_parts`` is the same sweep splitting off integer parts as it goes.
 
 Exponentials are polynomials with precomputed terms (``exp_terms``): the
-model keeps the terms of each basis matrix and an element keeps those of
-its log, so ``basis_element(a, t)``, ``g ** k`` and ``g.root(q)`` are a
-few scalar multiply-adds, with no matrix product.  The built-in models use
-matrix units, for which ``basis_element(a, t)`` is I + t X_a.
+model keeps the terms of each basis matrix and an element keeps its log
+and that log's terms, so ``basis_element(a, t)`` and every power, root
+and inverse of g (``g ** k``, ``g.root(q)`` and ``g.inverse()``, each
+exp(k log g) with k an integer, 1/q or -1) are a few scalar
+multiply-adds, with no matrix product.  The coordinate sweep reads the
+same cached log.  The built-in models use matrix units, for which
+``basis_element(a, t)`` is I + t X_a.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .matrices import (
     mat_identity,
     mat_mul,
     nilpotent_log,
-    unitriangular_inverse,
     upper_entries,
 )
 
@@ -75,7 +77,7 @@ class UnitriangularElement:
         return UnitriangularElement(mat_mul(self.entries, other.entries))
 
     def inverse(self) -> "UnitriangularElement":
-        return UnitriangularElement(unitriangular_inverse(self.entries))
+        return self**-1
 
     def __pow__(self, k: int) -> "UnitriangularElement":
         if k == 0:
@@ -196,47 +198,29 @@ class FilteredNilmanifoldModel:
         if span.rank != self.dim:
             raise ValueError("basis matrices must be linearly independent")
         object.__setattr__(self, "_coord_span", span)
-        m = self.dim
-        # each tail span(X_{j+1}..X_m) must be an ideal
+        # one bracket per pair a < b; bracket_coords(b, a) is its negation
         brackets: dict[tuple[int, int], list[Fraction]] = {}
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
                 w = mat_commutator(self.basis[a], self.basis[b])
                 coords = span.coordinates(upper_entries(w))
                 if coords is None:
                     raise ValueError("basis is not bracket-closed")
-                brackets[(a, b)] = coords
-        for j in range(m):
-            # [anything, X_b] for b > j must stay in span(X_{j+1}..)
-            for a in range(m):
-                for b in range(j + 1, m):
-                    if a == b:
-                        continue
-                    coords = brackets[(a, b)]
-                    if any(coords[c] != 0 for c in range(j + 1)):
-                        raise ValueError(f"span(X_{j + 2}..X_{m}) is not an ideal")
-        # filtration property on basis generators: [g_i, g_j] in g_{i+j}
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
+                # each tail span(X_{j+1}..X_m) is an ideal: [X_a, X_b] stays in span(X_{b+1}..)
+                j = next((c for c in range(b) if coords[c] != 0), None)
+                if j is not None:
+                    raise ValueError(f"span(X_{j + 2}..X_{self.dim}) is not an ideal")
+                # [G_la, G_lb] inside G_{la+lb}; past the degree G_{la+lb} is trivial
                 la, lb = self.level_of_index(a), self.level_of_index(b)
-                target = la + lb
-                coords = brackets[(a, b)]
-                cutoff = self.dim - self.level_dim(target)
-                if any(coords[c] != 0 for c in range(cutoff)):
+                cutoff = self.dim - self.level_dim(la + lb)
+                if any(coords[:cutoff]):
                     raise ValueError(
-                        f"[G_{la}, G_{lb}] escapes G_{target}: bracket of X_{a+1}, X_{b+1}"
+                        f"[G_{la}, G_{lb}] escapes G_{la + lb}: bracket of X_{a+1}, X_{b+1}"
                     )
-                if target > self.degree and any(c != 0 for c in coords):
-                    raise ValueError(
-                        f"[G_{la}, G_{lb}] must vanish beyond degree {self.degree}"
-                    )
+                brackets[(a, b)] = coords
         object.__setattr__(self, "_bracket_coords", brackets)
         # lattice closure spot check on generators
-        gens = [self.basis_element(a, 1) for a in range(m)]
+        gens = [self.basis_element(a, 1) for a in range(self.dim)]
         for x in gens:
             if not self.in_lattice(x.inverse()):
                 raise ValueError("lattice is not closed under inverses")
@@ -273,7 +257,7 @@ class FilteredNilmanifoldModel:
         if g.dim != self.kappa:
             raise OutsideGroupError("wrong matrix dimension")
         span: RationalSpan = self._coord_span  # type: ignore[attr-defined]
-        c = span.coordinates(upper_entries(nilpotent_log(g.entries)))
+        c = span.coordinates(upper_entries(g.log()))
         if c is None:
             raise OutsideGroupError("element leaves the basis span")
         if any(c[a] != 0 for a in range(j)):
@@ -370,9 +354,11 @@ class FilteredNilmanifoldModel:
         return fractional, lattice
 
     def bracket_coords(self, a: int, b: int) -> list[Fraction]:
-        """Coordinates of [X_{a+1}, X_{b+1}] in the basis."""
+        """Coordinates of [X_{a+1}, X_{b+1}] in the basis; antisymmetric in a, b."""
         if a == b:
             return [Fraction(0)] * self.dim
+        if a > b:
+            return [-c for c in self._bracket_coords[(b, a)]]  # type: ignore[attr-defined]
         return self._bracket_coords[(a, b)]  # type: ignore[attr-defined]
 
     # -- serialization ------------------------------------------------------

@@ -17,7 +17,8 @@ independent sampled reference.  ``character_sum`` and ``vertical_sum``
 read one orbit g(0), ..., g(q-1) per q, split into fractional and
 integer parts and cached on the sequence once ``is_periodic`` holds and
 the level-1 block is proven linear in n for every level-1 character at
-once; a character sum is then its closed form.
+once; a character sum is then its closed form in the level-1 blocks of
+g_0 and g_1, which the proof reads and the cache keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .counting import as_fraction
-from .nil.characters import LevelCharacter, _annihilator_rows, _dot, _l1_ball
+from .nil.characters import LevelCharacter, _annihilator_rows, _dot, _is_character, _l1_ball
 from .nil.characters import annihilator_lattice, element_irrational
 from .nil.model import FilteredNilmanifoldModel, UnitriangularElement
 from .nil.poly import PolynomialSequence, binomial, taylor_eval, taylor_expand
@@ -245,8 +246,10 @@ def _level1_taylor(p: PolynomialSequence) -> list[tuple[Fraction, ...]]:
     return [model.head_coords(g, blk.stop)[blk.start :] for g in p.coefficients[:2]]
 
 
-def _orbit(p: PolynomialSequence, q: int) -> list[tuple[list[Fraction], list[int]]]:
-    """Split sweeps (t, a) of g(0), ..., g(q-1), cached per q once proven.
+def _orbit(
+    p: PolynomialSequence, q: int
+) -> tuple[list[tuple[list[Fraction], list[int]]], list[tuple[Fraction, ...]]]:
+    """(split sweeps (t, a) of g(0), ..., g(q-1), ``_level1_taylor(p)``), cached per q once proven.
 
     The proof is ``is_periodic`` plus level-1 linearity: each vector of
     the saturated frequency basis ``annihilator_lattice(model, 1)`` is
@@ -266,7 +269,7 @@ def _orbit(p: PolynomialSequence, q: int) -> list[tuple[list[Fraction], list[int
             drift = [t - a - n * b for t, a, b in zip(coords[blk.start : blk.stop], start, step)]
             if any(_dot(k, drift).denominator != 1 for k in basis):
                 raise AssertionError("level-1 phase is not linear in n; orbit is inconsistent")
-        cache[q] = orbit
+        cache[q] = orbit, [start, step]
     return cache[q]
 
 
@@ -284,10 +287,9 @@ def character_sum(p: PolynomialSequence, xi: LevelCharacter, q: int) -> complex:
     k = xi.frequency
     if len(k) != model.block_rank(1):
         raise ValueError("frequency length does not match the level-1 block")
-    if any(_dot(k, row) for row in _annihilator_rows(model, 1)):
+    if not _is_character(k, _annihilator_rows(model, 1)):
         raise ValueError(f"frequency {k} is not a level-1 character of the model")
-    _orbit(p, q)
-    theta0, theta1 = (_dot(k, block) for block in _level1_taylor(p))
+    theta0, theta1 = (_dot(k, block) for block in _orbit(p, q)[1])
     step = theta1 * q
     if step.denominator != 1:
         raise AssertionError("periodic orbit must have q * theta1 integral")
@@ -305,7 +307,7 @@ def vertical_sum(p: PolynomialSequence, q: int) -> float:
     circle, at Gauss-sum scale for a generic irrational orbit.
     """
     total = 0j
-    for coords, int_parts in _orbit(p, q):
+    for coords, int_parts in _orbit(p, q)[0]:
         # psi({g})_m = t_m - a_m, from the sweep that splits g = {g}[g]
         total += cmath.exp(2j * cmath.pi * float(coords[-1] - int_parts[-1]))
     return abs(total) / q

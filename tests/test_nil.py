@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclicforms.forms import RationalSpan
 from cyclicforms.nil import (
     FilteredNilmanifoldModel,
     LevelCharacter,
@@ -21,7 +22,6 @@ from cyclicforms.nil import (
     factor_coefficient,
     heisenberg_deg3,
     heisenberg_lcs,
-    in_vanishing_subgroup,
     is_irrational,
     mat,
     model_by_name,
@@ -36,8 +36,10 @@ from cyclicforms.nil.matrices import (
     mat_add,
     mat_identity,
     mat_mul,
+    mat_sub,
     nilpotent_exp,
     nilpotent_log,
+    upper_entries,
 )
 
 rationals = st.fractions(
@@ -342,6 +344,16 @@ def test_model_validation_messages(kappa, basis, level_dims, message):
         FilteredNilmanifoldModel(kappa=kappa, basis=basis, level_dims=level_dims)
 
 
+def test_bracket_coords_match_commutators_in_both_orders():
+    for model in (heisenberg_lcs(), heisenberg_deg3(), torus(2, 2)):
+        span = RationalSpan([upper_entries(b) for b in model.basis])
+        for a in range(model.dim):
+            for b in range(model.dim):
+                x, y = model.basis[a], model.basis[b]
+                w = mat_sub(mat_mul(x, y), mat_mul(y, x))
+                assert model.bracket_coords(a, b) == span.coordinates(upper_entries(w))
+
+
 def test_model_json_round_trip():
     m = heisenberg_deg3()
     again = FilteredNilmanifoldModel.from_json(m.to_json())
@@ -565,14 +577,6 @@ def test_annihilator_lattice():
     assert len(annihilator_lattice(d3, 3)) == 1
 
 
-def test_in_vanishing_subgroup():
-    m = heisenberg_lcs()
-    center = m.from_coords([0, 0, Fraction(2, 3)])
-    assert in_vanishing_subgroup(m, 1, center)
-    horizontal = m.from_coords([Fraction(1, 2), 0, 0])
-    assert not in_vanishing_subgroup(m, 1, horizontal)
-
-
 def test_is_irrational_examples():
     m = heisenberg_lcs()
     lattice_poly = PolynomialSequence(
@@ -684,4 +688,8 @@ def test_scaling_lemma_invariant():
             for i in range(1, model.degree + 1):
                 power = p.coefficients[i] ** (q**i)
                 ratio = h.coefficients[i] * power.inverse()
-                assert in_vanishing_subgroup(model, i, ratio)
+                # every i-th-level character kills the ratio: it lies in G_i, and
+                # psi_i is the block of log g there since [G_i, G_i] lies in G_{i+1}
+                assert model.in_level(ratio, i)
+                for k in annihilator_lattice(model, i):
+                    assert LevelCharacter(i, k).value(model, ratio) == 0
