@@ -5,6 +5,8 @@ forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
 solvers anneal from a seed, tracking bit-sliced counts over a set-up
 cached per (system, N), and re-verify their certificate-backed bounds too.
+The annealing move loop makes no Python function call: it replays numpy's
+scalar draws inline on raw PCG64 words and reads one cached temperature table.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -167,54 +169,16 @@ def max_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
 
 
 _RAW_BLOCK = 1024  # PCG64 words fetched per random_raw call
+_T0, _COOLING, _T_FLOOR = 0.08, 0.999, 1e-6  # temperature max(T0 * COOLING**step, T_FLOOR)
 
 
-def _replay_draws(rng: np.random.Generator, block: int = _RAW_BLOCK):
-    """Scalar ``rng.integers(k)`` and ``rng.random()`` replayed in Python.
-
-    Returns ``(integers, random)``: ``integers(k)`` for 1 <= k <= 2^32 and
-    ``random()`` give the values the scalar Generator calls would give
-    from rng's current state, without numpy's per-call dispatch.  They
-    replay numpy's own algorithms on raw PCG64 words: ``next_uint32`` with
-    its half-word buffer (taken from ``rng.bit_generator.state``), Lemire's
-    bounded draw with its rejection loop (``integers(1)`` draws nothing),
-    and ``next_double`` = (w >> 11) * 2^-53.  Words are pulled ``block`` at
-    a time through ``random_raw``, so rng itself runs ahead of the replay
-    and must not be drawn from afterwards.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    half = state["uinteger"] if state["has_uint32"] else None
-
-    def words():
-        while True:
-            yield from bitgen.random_raw(block).tolist()
-
-    word = words().__next__
-
-    def uint32():
-        nonlocal half
-        if half is None:
-            w = word()
-            half = w >> 32
-            return w & 0xFFFFFFFF
-        h, half = half, None
-        return h
-
-    def integers(k):
-        if k == 1:
-            return 0
-        m = uint32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (1 << 32) % k  # numpy's (UINT32_MAX - (k - 1)) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = uint32() * k
-        return m >> 32
-
-    def random():
-        return (word() >> 11) * 2.0**-53
-
-    return integers, random
+@functools.cache
+def _temperatures() -> tuple[float, ...]:
+    """``max(_T0 * _COOLING**step, _T_FLOOR)`` for each step before the floor (step 11,285)."""
+    table = []
+    while (t := _T0 * _COOLING ** len(table)) > _T_FLOOR:
+        table.append(t)
+    return tuple(table)
 
 
 def _bitsets(flags: np.ndarray) -> list[int]:
@@ -262,13 +226,16 @@ def _anneal(
     popcount((uses[x_out] & occupied) | (uses[x_in] & single)) - degree[x_out],
     the gain at 1 through x_in alone minus the loss at 0 through x_out: the
     same integer a full recount gives.  On accept a borrow (x_in) and a carry
-    (x_out) ripple up the digits until they die.  The seeded draws replay
-    numpy's scalar stream (``_replay_draws``), so a move makes no numpy call
-    and the trajectory is the one ``rng.integers``/``rng.random`` give.
+    (x_out) ripple up the digits until they die.
 
-    The cooling schedule depends only on the move index, so doubling the
-    budget extends the same trajectory: best-so-far is monotone in the
-    budget at fixed seed.
+    A move makes no Python function call.  Its draws replay inline what
+    scalar ``rng.integers(k)`` and ``rng.random()`` would give: numpy's
+    ``next_uint32`` with its half-word buffer, Lemire's bounded draw
+    (``integers(1)`` draws nothing) and ``next_double``, drawn only uphill,
+    on raw PCG64 words fetched a block at a time.  Temperatures come from
+    ``_temperatures()``.  The schedule depends only on the move index, so
+    doubling the budget extends the same trajectory: best-so-far is
+    monotone in the budget at fixed seed.
     """
     if moves < 0:
         raise ValueError(f"the move budget must be non-negative, got {moves}")
@@ -285,45 +252,81 @@ def _anneal(
 
     outside_count = np.bitwise_count(grid & ~np.int64(mask))
     digit = _bitsets((outside_count >> np.arange(top.bit_length(), dtype=np.uint8)[:, None]) & 1)
-    high = functools.reduce(int.__or__, digit[1:], 0)
-    occupied = digit[0] | high
-    single = occupied ^ high
+    occupied, single = _bitsets(np.stack([outside_count >= 1, outside_count == 1]))
     energy = sign * (total - occupied.bit_count())
     best_energy, best_mask = energy, mask
     if not members or not outside:
         return best_mask, sign * best_energy
 
-    integers, random = _replay_draws(rng)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else -1  # -1: no buffered half word
+    words, at = None, _RAW_BLOCK  # words[at] is the next word; at == _RAW_BLOCK fetches a block
     n_in, n_out = len(members), len(outside)
-    t0, cooling, t_floor = 0.08, 0.999, 1e-6
+    # Lemire's integers(k) keeps m = uint32 * k once m's low word is >= 2^32 mod k
+    low_in, low_out = (1 << 32) % n_in, (1 << 32) % n_out
+    temperatures = _temperatures()
+    cooled, n_digits = len(temperatures), len(digit)
     for step in range(moves):
-        i = integers(n_in)
-        j = integers(n_out)
+        i = 0
+        while n_in > 1:
+            if half < 0:
+                if at == _RAW_BLOCK:
+                    words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+                w = words[at]
+                at += 1
+                m, half = (w & 0xFFFFFFFF) * n_in, w >> 32
+            else:
+                m, half = half * n_in, -1
+            if m & 0xFFFFFFFF >= low_in:
+                i = m >> 32
+                break
+        j = 0
+        while n_out > 1:
+            if half < 0:
+                if at == _RAW_BLOCK:
+                    words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+                w = words[at]
+                at += 1
+                m, half = (w & 0xFFFFFFFF) * n_out, w >> 32
+            else:
+                m, half = half * n_out, -1
+            if m & 0xFFFFFFFF >= low_out:
+                j = m >> 32
+                break
         x_out, x_in = members[i], outside[j]
         z_out, z_in = uses[x_out], uses[x_in]
         change = sign * (((z_out & occupied) | (z_in & single)).bit_count() - degree[x_out])
-        delta = change / total
-        if delta <= 0 or random() < math.exp(-delta / max(t0 * cooling**step, t_floor)):
-            members[i], outside[j] = x_in, x_out
-            mask ^= (1 << x_out) | (1 << x_in)
-            energy += change
-            borrow = z_in  # x_in joins the set: the counts through it drop by one
-            for k, d in enumerate(digit):
-                digit[k] = d = d ^ borrow
-                borrow &= d
-                if not borrow:
-                    break
-            carry = z_out  # x_out leaves: the counts through it rise by one
-            for k, d in enumerate(digit):
-                digit[k] = d ^ carry
-                carry &= d
-                if not carry:
-                    break
-            high = functools.reduce(int.__or__, digit[1:], 0)
-            occupied = digit[0] | high
-            single = occupied ^ high
-            if energy < best_energy:
-                best_energy, best_mask = energy, mask
+        if change > 0:
+            if at == _RAW_BLOCK:
+                words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+            w = words[at]
+            at += 1
+            t = temperatures[step] if step < cooled else _T_FLOOR
+            if (w >> 11) * 2.0**-53 >= math.exp(-(change / total) / t):
+                continue
+        members[i], outside[j] = x_in, x_out
+        mask ^= (1 << x_out) | (1 << x_in)
+        energy += change
+        borrow, k = z_in, 0  # x_in joins the set: the counts through it drop by one
+        while borrow:
+            digit[k] = d = digit[k] ^ borrow
+            borrow &= d
+            k += 1
+        carry, k = z_out, 0  # x_out leaves: the counts through it rise by one
+        while carry:
+            d = digit[k]
+            digit[k] = d ^ carry
+            carry &= d
+            k += 1
+        high, k = 0, 1
+        while k < n_digits:
+            high |= digit[k]
+            k += 1
+        occupied = digit[0] | high
+        single = occupied ^ high
+        if energy < best_energy:
+            best_energy, best_mask = energy, mask
     return best_mask, sign * best_energy
 
 

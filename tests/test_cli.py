@@ -148,6 +148,18 @@ def test_construct_commands(capsys, tmp_path):
     code, out = _run(capsys, ["construct", "interval", "--system", str(sysfile), "--n", "101"])
     assert code == 0
     assert json.loads(out)["certificate"] is not None
+    # (x, 3x) at N = 2 is (x, x): every point is a configuration, so no interval is free
+    sysfile.write_text(dilate_pair(3).to_json())
+    code, out = _run(capsys, ["construct", "interval", "--system", str(sysfile), "--n", "2"])
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "construct-interval",
+        "value": None,
+        "certificate": None,
+        "method": "construction",
+        "boundKind": "lowerBound",
+        "verification": {"note": "no free interval within the denominator budget"},
+    }
 
 
 def test_kernelize_command(capsys, system_file):

@@ -18,7 +18,6 @@ from cyclicforms.extremal import (
     _forbidden_edges,
     _interval_candidates,
     _max_independent_bb,
-    _replay_draws,
     dependent_pair_exact,
     interval_free_set,
     max_free_density_exact,
@@ -225,6 +224,54 @@ def test_anneal_tracked_energy_matches_recount(system):
         assert count == _count_for_mask(masks, mult, mask), (system.forms, n, seed)
 
 
+def _replay_draws(rng, block=1024):
+    """Scalar ``rng.integers(k)`` and ``rng.random()`` replayed in Python.
+
+    Returns ``(integers, random)``: ``integers(k)`` for 1 <= k <= 2^32 and
+    ``random()`` give the values the scalar Generator calls would give
+    from rng's current state.  They replay numpy's own algorithms on raw
+    PCG64 words: ``next_uint32`` with its half-word buffer (taken from
+    ``rng.bit_generator.state``), Lemire's bounded draw with its rejection
+    loop (``integers(1)`` draws nothing), and ``next_double`` =
+    (w >> 11) * 2^-53.  Words are pulled ``block`` at a time through
+    ``random_raw``, so rng itself runs ahead of the replay and must not be
+    drawn from afterwards.  The reference for ``_anneal``'s inline draws.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else None
+
+    def words():
+        while True:
+            yield from bitgen.random_raw(block).tolist()
+
+    word = words().__next__
+
+    def uint32():
+        nonlocal half
+        if half is None:
+            w = word()
+            half = w >> 32
+            return w & 0xFFFFFFFF
+        h, half = half, None
+        return h
+
+    def integers(k):
+        if k == 1:
+            return 0
+        m = uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (1 << 32) % k  # numpy's (UINT32_MAX - (k - 1)) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = uint32() * k
+        return m >> 32
+
+    def random():
+        return (word() >> 11) * 2.0**-53
+
+    return integers, random
+
+
 def _one_hot_anneal(system, n, size, seed, moves, minimize):
     """Reference annealer: one bitset per outside-count level, every level updated per move."""
     rng = np.random.default_rng(seed)
@@ -287,6 +334,58 @@ def test_anneal_matches_one_hot_reference_on_wide_configurations(k):
             got = _anneal(system, n, size, seed, 700, minimize)
             assert got == _one_hot_anneal(system, n, size, seed, 700, minimize), (k, n, minimize)
 
+
+class _CraftedBits:
+    """Raw PCG64(seed) words with the low half of every third word zeroed.
+
+    A zero half word makes Lemire's draw reject for every k that is not a
+    power of two.  The state holds a buffered half word, zero for odd seeds,
+    so the first draw of a run may reject too.
+    """
+
+    def __init__(self, seed):
+        self._pcg = np.random.PCG64(seed)
+        self._served = 0
+        self.state = {"has_uint32": 1, "uinteger": 0 if seed % 2 else 0x9E3779B9}
+
+    def random_raw(self, size):
+        words = self._pcg.random_raw(size)
+        words[np.arange(self._served, self._served + size) % 3 == 0] &= np.uint64(0xFFFFFFFF << 32)
+        self._served += size
+        return words
+
+
+class _CraftedRng:
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.bit_generator = _CraftedBits(seed)
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+
+@pytest.mark.parametrize("system", [three_ap(), kernel_system((1, 1, -3))], ids=["3AP", "kernel"])
+def test_anneal_matches_reference_on_crafted_draws(monkeypatch, system):
+    monkeypatch.setattr(np.random, "default_rng", _CraftedRng)
+    # Sizes 1 and N - 1 draw integers(1), which takes no word.  Seed 16 starts
+    # size 1 at {0}, the one singleton holding a kernel configuration, so the
+    # first move of a minimizing run depends on where the next draw starts.
+    # At N = 61 the best set still improves after step 11,285, where the
+    # temperature reaches its floor; at N = 5 and 12 it is found long before.
+    for n, sizes, moves in ((5, (1, 2, 3, 4), 3000), (12, (1, 5, 7, 11), 3000), (61, (24,), 16_000)):
+        for size in sizes:
+            for seed in (0, 1, 2, 3, 16):
+                for minimize in (True, False):
+                    got = _anneal(system, n, size, seed, moves, minimize)
+                    want = _one_hot_anneal(system, n, size, seed, moves, minimize)
+                    assert got == want, (n, size, seed, minimize)
+
+
+def test_temperature_table_stops_at_the_floor():
+    table = extremal._temperatures()
+    schedule = [max(0.08 * 0.999**step, 1e-6) for step in range(len(table) + 5000)]
+    assert len(table) == 11_285 and list(table) == schedule[: len(table)]
+    assert set(schedule[len(table) :]) == {1e-6}
 
 def test_anneal_setup_cache_is_never_mutated():
     systems = (three_ap(), kernel_system((1, 1, -3)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cyclicforms import harness
-from cyclicforms.forms import dilate_pair, three_ap
+from cyclicforms.forms import LinearFormSystem, dilate_pair, three_ap
 from cyclicforms.harness import (
     CSV_HEADER,
     determinism_digest,
@@ -20,6 +20,9 @@ def test_primes_basics():
     assert smallest_prime_factor(1) == 1
     assert smallest_prime_factor(91) == 7
     assert smallest_prime_factor(1009) == 1009
+    # past the small-prime table, trial division from 49 on
+    assert smallest_prime_factor(2809) == 53  # 53^2
+    assert smallest_prime_factor(3127) == 53  # 53 * 59
     assert multiplicative_order(2, 101) == 100
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)
@@ -46,6 +49,19 @@ def test_scan_dependent_pair_density_path():
     assert abs(values[5] - 0.4) < 1e-12
     assert abs(values[101] - 50 / 101) < 1e-12
 
+
+def test_scan_free_density_path_without_a_dependent_pair():
+    # Schur triples (x, y, x + y) are not invariant and not a dependent pair, so
+    # the scan runs the free-density solvers; the exact values are the largest
+    # sum-free densities of Z/N (Diananda and Yap)
+    schur = LinearFormSystem(((1, 0), (0, 1), (1, 1)))
+    exact, _ = scan_convergence(schur, "d", None, [5, 6, 7, 9], mode="exact")
+    assert [(r.method, r.value) for r in exact] == [
+        ("exact", 2 / 5), ("exact", 1 / 2), ("exact", 2 / 7), ("exact", 1 / 3)
+    ]
+    heuristic, _ = scan_convergence(schur, "d", None, [5, 6, 7, 9], mode="heuristic", seed=1)
+    assert all(r.method == "heuristic" for r in heuristic)
+    assert all(0 < h.value <= e.value for h, e in zip(heuristic, exact))
 
 def test_scan_determinism_excluding_elapsed():
     _, a = scan_convergence(three_ap(), "m", Fraction(2, 5), [5, 7], mode="heuristic", seed=3)
