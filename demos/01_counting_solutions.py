@@ -12,6 +12,7 @@ from cyclicforms import (
     CyclicSubset,
     complement_sol,
     kernelize,
+    size,
     sol_brute,
     sol_count,
     sol_fast,
@@ -19,7 +20,7 @@ from cyclicforms import (
 )
 
 system = three_ap()
-print(f"system {system.name}: forms {system.forms}, size {system.size}")
+print(f"system {system.name}: forms {system.forms}, size {size(system)}")
 
 a = CyclicSubset(5, (0, 1))
 measure = sol_count(a, system)

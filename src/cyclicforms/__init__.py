@@ -27,10 +27,8 @@ from .extremal import (
     interval_free_set,
     max_free_density_exact,
     max_free_density_heuristic,
-    max_sol,
     max_sol_exact,
     max_sol_heuristic,
-    min_sol,
     min_sol_exact,
     min_sol_heuristic,
     multiplicative_free_set,

@@ -24,8 +24,10 @@ from .extremal import (
     interval_free_set,
     max_free_density_exact,
     max_free_density_heuristic,
-    max_sol,
-    min_sol,
+    max_sol_exact,
+    max_sol_heuristic,
+    min_sol_exact,
+    min_sol_heuristic,
     multiplicative_free_set,
     weyl_set,
 )
@@ -125,9 +127,9 @@ def _extremal_payload(command: str, result) -> dict:
 
 def cmd_extremal_sol(args) -> int:
     system = LinearFormSystem.load(args.system)
-    mode = "heuristic" if args.heuristic else "exact"
+    solver = args.heuristic_solver if args.heuristic else args.exact_solver
     kw = {"seed": args.seed, "budget": args.budget} if args.heuristic else {}
-    result = args.solver(system, args.alpha, args.n, mode=mode, **kw)
+    result = solver(system, args.alpha, args.n, **kw)
     _emit(args, _extremal_payload(args.command, result))
     return 0
 
@@ -315,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_gowers)
 
-    for name, solver in (("min-sol", min_sol), ("max-sol", max_sol)):
+    for name, exact, heuristic in (
+        ("min-sol", min_sol_exact, min_sol_heuristic),
+        ("max-sol", max_sol_exact, max_sol_heuristic),
+    ):
         p = sub.add_parser(name, help=f"{name} extremal value")
         p.add_argument("--system", required=True)
         p.add_argument("--alpha", type=_fraction, required=True)
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--heuristic", action="store_true")
         p.add_argument("--budget", type=int, default=4000)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.set_defaults(func=cmd_extremal_sol, solver=solver)
+        p.set_defaults(func=cmd_extremal_sol, exact_solver=exact, heuristic_solver=heuristic)
 
     p = sub.add_parser("max-free", help="maximum free density for a family")
     p.add_argument("--family", required=True)

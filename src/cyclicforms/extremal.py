@@ -5,8 +5,9 @@ forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
 solvers anneal from a seed, tracking bit-sliced counts over a set-up
 cached per (system, N), and re-verify their certificate-backed bounds too.
-The annealing move loop makes no Python function call: it replays numpy's
-scalar draws inline on raw PCG64 words and reads one cached temperature table.
+The annealing move loop calls no Python function: it replays numpy's
+scalar draws inline on raw PCG64 words, taken with ``next`` from one lazy
+iterator over fetched blocks, and reads one cached temperature table.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -21,6 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,14 @@ from .counting import (
     has_configuration,
     sol_count,
 )
-from .forms import LinearFormSystem, check_budget, configurations, image_mod_n, is_invariant
+from .forms import (
+    LinearFormSystem,
+    check_budget,
+    configurations,
+    dilate_pair,
+    image_mod_n,
+    is_invariant,
+)
 from .primes import is_prime, multiplicative_order
 
 
@@ -99,13 +108,19 @@ def _mask_to_subset(n: int, mask: int) -> CyclicSubset:
     return CyclicSubset(n, tuple(x for x in range(n) if (mask >> x) & 1))
 
 
+def check_alpha(alpha) -> Fraction:
+    """alpha as a Fraction; ValueError unless 0 <= alpha <= 1."""
+    alpha = as_fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie between 0 and 1, got {alpha}")
+    return alpha
+
+
 def _size_bound(alpha, n: int, minimize: bool) -> int:
     """The subset size bound: ceil(alpha N) (minimize) or floor(alpha N), for 0 <= alpha <= 1."""
     if n <= 0:
         raise ValueError("modulus must be positive")
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie between 0 and 1, got {alpha}")
+    alpha = check_alpha(alpha)
     return math.ceil(alpha * n) if minimize else math.floor(alpha * n)
 
 
@@ -228,14 +243,15 @@ def _anneal(
     same integer a full recount gives.  On accept a borrow (x_in) and a carry
     (x_out) ripple up the digits until they die.
 
-    A move makes no Python function call.  Its draws replay inline what
+    A move calls no Python function.  Its draws replay inline what
     scalar ``rng.integers(k)`` and ``rng.random()`` would give: numpy's
     ``next_uint32`` with its half-word buffer, Lemire's bounded draw
-    (``integers(1)`` draws nothing) and ``next_double``, drawn only uphill,
-    on raw PCG64 words fetched a block at a time.  Temperatures come from
-    ``_temperatures()``.  The schedule depends only on the move index, so
-    doubling the budget extends the same trajectory: best-so-far is
-    monotone in the budget at fixed seed.
+    (``integers(1)`` draws nothing) and ``next_double``, drawn only uphill.
+    Each takes its raw PCG64 word with ``next(words)`` from one lazy
+    iterator that fetches ``_RAW_BLOCK`` words at a time.  Temperatures
+    come from ``_temperatures()``.  The schedule depends only on the move
+    index, so doubling the budget extends the same trajectory: best-so-far
+    is monotone in the budget at fixed seed.
     """
     if moves < 0:
         raise ValueError(f"the move budget must be non-negative, got {moves}")
@@ -261,7 +277,7 @@ def _anneal(
     bitgen = rng.bit_generator
     state = bitgen.state
     half = state["uinteger"] if state["has_uint32"] else -1  # -1: no buffered half word
-    words, at = None, _RAW_BLOCK  # words[at] is the next word; at == _RAW_BLOCK fetches a block
+    words = chain.from_iterable(iter(lambda: bitgen.random_raw(_RAW_BLOCK).tolist(), None))
     n_in, n_out = len(members), len(outside)
     # Lemire's integers(k) keeps m = uint32 * k once m's low word is >= 2^32 mod k
     low_in, low_out = (1 << 32) % n_in, (1 << 32) % n_out
@@ -271,10 +287,7 @@ def _anneal(
         i = 0
         while n_in > 1:
             if half < 0:
-                if at == _RAW_BLOCK:
-                    words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
-                w = words[at]
-                at += 1
+                w = next(words)
                 m, half = (w & 0xFFFFFFFF) * n_in, w >> 32
             else:
                 m, half = half * n_in, -1
@@ -284,10 +297,7 @@ def _anneal(
         j = 0
         while n_out > 1:
             if half < 0:
-                if at == _RAW_BLOCK:
-                    words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
-                w = words[at]
-                at += 1
+                w = next(words)
                 m, half = (w & 0xFFFFFFFF) * n_out, w >> 32
             else:
                 m, half = half * n_out, -1
@@ -298,12 +308,8 @@ def _anneal(
         z_out, z_in = uses[x_out], uses[x_in]
         change = sign * (((z_out & occupied) | (z_in & single)).bit_count() - degree[x_out])
         if change > 0:
-            if at == _RAW_BLOCK:
-                words, at = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
-            w = words[at]
-            at += 1
             t = temperatures[step] if step < cooled else _T_FLOOR
-            if (w >> 11) * 2.0**-53 >= math.exp(-(change / total) / t):
+            if (next(words) >> 11) * 2.0**-53 >= math.exp(-(change / total) / t):
                 continue
         members[i], outside[j] = x_in, x_out
         mask ^= (1 << x_out) | (1 << x_in)
@@ -361,22 +367,6 @@ def max_sol_heuristic(
 ) -> ExtremalResult:
     """Certificate-backed lower bound on M(alpha, N) by seeded annealing."""
     return _heuristic(system, alpha, n, seed, budget, minimize=False)
-
-
-def max_sol(system: LinearFormSystem, alpha, n: int, mode: str = "exact", **kw) -> ExtremalResult:
-    if mode == "exact":
-        return max_sol_exact(system, alpha, n, **kw)
-    if mode == "heuristic":
-        return max_sol_heuristic(system, alpha, n, **kw)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def min_sol(system: LinearFormSystem, alpha, n: int, mode: str = "exact", **kw) -> ExtremalResult:
-    if mode == "exact":
-        return min_sol_exact(system, alpha, n, **kw)
-    if mode == "heuristic":
-        return min_sol_heuristic(system, alpha, n, **kw)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +587,6 @@ def dependent_pair_exact(k: int, p: int, alpha=None):
         raise ValueError("p must be prime")
     if k % p == 0:
         raise ValueError("k must be a unit mod p")
-    from .forms import dilate_pair
-
     system = dilate_pair(k)
     order, cycles = _dilation_cycles(k, p)
     per_cycle = order // 2
@@ -688,8 +676,6 @@ def weyl_set(p: int, k: int, d: int) -> CyclicSubset:
         raise ValueError("interval is degenerate at these parameters")
     members = [x for x in range(p) if lo <= pow(x, d, p) <= hi]
     subset = CyclicSubset(p, tuple(members))
-    from .forms import dilate_pair
-
     if sol_count(subset, dilate_pair(k)).count != 0:
         raise AssertionError("power-residue interval set is not dilation-free")
     return subset
@@ -711,8 +697,6 @@ def multiplicative_free_set(k: int, p: int) -> CyclicSubset:
     k_mod = k % p
     if k_mod in (0, 1):
         raise ValueError("k must not be 0 or 1 mod p")
-    from .forms import dilate_pair
-
     if k_mod == p - 1:
         members = tuple(range(1, (p - 1) // 2 + 1))
         subset = CyclicSubset(p, members)

@@ -47,16 +47,8 @@ class LinearFormSystem:
     def num_variables(self) -> int:
         return len(self.forms[0])
 
-    @property
-    def size(self) -> int:
-        """max(D, t, largest |coefficient|)."""
-        return size(self)
-
-    def evaluate(self, point: Sequence[int], modulus: int | None = None) -> tuple[int, ...]:
-        vals = tuple(sum(c * x for c, x in zip(row, point)) for row in self.forms)
-        if modulus is None:
-            return vals
-        return tuple(v % modulus for v in vals)
+    def evaluate(self, point: Sequence[int], modulus: int) -> tuple[int, ...]:
+        return tuple(sum(c * x for c, x in zip(row, point)) % modulus for row in self.forms)
 
     def to_json(self) -> str:
         obj = {"forms": [list(r) for r in self.forms]}
@@ -179,8 +171,7 @@ class RationalSpan:
         self._pivots.append(pivot)
 
     def contains(self, target: Sequence[Fraction]) -> bool:
-        vec, _ = self._reduce(list(target), [Fraction(0)] * len(self.vectors))
-        return all(x == 0 for x in vec)
+        return self.coordinates(target) is not None
 
     def coordinates(self, target: Sequence[Fraction]):
         """Coefficients expressing target over the generators, or None.
@@ -455,13 +446,6 @@ def as_dependent_pair(system: LinearFormSystem) -> int | None:
     u, v = system.forms
     if not _proportional(u, v):
         return None
-    # v = k u with rational k; integral only if u divides v componentwise
-    for ua, va in zip(u, v):
-        if ua != 0:
-            if va % ua != 0:
-                return None
-            k = va // ua
-            if all(x * k == y for x, y in zip(u, v)):
-                return k
-            return None
-    return None
+    # v = k u with k = v_a / u_a at any nonzero u_a: an integer iff u_a divides v_a
+    ua, va = next((ua, va) for ua, va in zip(u, v) if ua != 0)
+    return va // ua if va % ua == 0 else None

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .counting import as_fraction
 from .extremal import (
+    check_alpha,
     dependent_pair_exact,
     max_free_density_exact,
     max_free_density_heuristic,
-    max_sol,
-    min_sol,
+    max_sol_exact,
+    max_sol_heuristic,
+    min_sol_exact,
+    min_sol_heuristic,
 )
 from .forms import BudgetExceeded, LinearFormSystem, as_dependent_pair
 from .primes import is_prime, smallest_prime_factor
@@ -58,10 +60,11 @@ def _run_quantity(
     mode: str,
     seed: int,
 ):
-    if quantity == "m":
-        return min_sol(system, alpha, n, mode=mode, **({"seed": seed} if mode == "heuristic" else {}))
-    if quantity == "M":
-        return max_sol(system, alpha, n, mode=mode, **({"seed": seed} if mode == "heuristic" else {}))
+    if quantity in ("m", "M"):
+        if mode == "heuristic":
+            solver = min_sol_heuristic if quantity == "m" else max_sol_heuristic
+            return solver(system, alpha, n, seed=seed)
+        return (min_sol_exact if quantity == "m" else max_sol_exact)(system, alpha, n)
     k = as_dependent_pair(system)
     if k is not None and abs(k) >= 2 and is_prime(n) and n > abs(k):
         density, _ = dependent_pair_exact(k, n)
@@ -97,8 +100,8 @@ def scan_convergence(
         raise ValueError(f"unknown quantity {quantity!r}; use m, M, or d")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}; use exact or heuristic")
-    if quantity in ("m", "M") and not 0 <= as_fraction(alpha) <= 1:
-        raise ValueError(f"alpha must lie between 0 and 1, got {alpha}")
+    if quantity in ("m", "M"):
+        check_alpha(alpha)
     records: list[ScanRecord] = []
     scan_start = time.perf_counter()
     for n in sorted(moduli):
@@ -140,8 +143,9 @@ def determinism_digest(csv_text: str) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def render_svg(records: Sequence[ScanRecord], width: int = 640, height: int = 400) -> str:
+def render_svg(records: Sequence[ScanRecord]) -> str:
     """A dependency-free line plot; prime moduli filled, composite hollow."""
+    width, height = 640, 400
     pts = [(r.n, r.value, r.is_prime) for r in records if r.value is not None]
     buf = io.StringIO()
     buf.write(

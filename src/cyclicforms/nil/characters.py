@@ -73,8 +73,6 @@ def _is_character(k: Sequence[int], rows: Sequence[Sequence[Fraction]]) -> bool:
 
 def _l1_ball(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero integer vectors with |k|_1 <= bound, in lexicographic order."""
-    if rank == 0:
-        return
     for k in product(range(-bound, bound + 1), repeat=rank):
         if any(k) and sum(abs(x) for x in k) <= bound:
             yield k
@@ -152,16 +150,10 @@ def element_irrational(
 
 
 def _solve_dot(k: Sequence[int], target: int):
-    """Integer t with k . t = target, or None if gcd(k) does not divide it."""
-    g = 0
-    for x in k:
-        g = math.gcd(g, x)
-    if g == 0:
-        return None
-    if target % g != 0:
+    """Integer t with k . t = target, or None if gcd(k) does not divide it; k is nonzero."""
+    if target % math.gcd(*k) != 0:
         return None
     # accumulate gcds left to right, tracking Bezout coefficients
-    coeffs = [0] * len(k)
     acc = 0
     acc_expr = [0] * len(k)
     for idx, x in enumerate(k):
@@ -169,7 +161,6 @@ def _solve_dot(k: Sequence[int], target: int):
             continue
         if acc == 0:
             acc = abs(x)
-            acc_expr = [0] * len(k)
             acc_expr[idx] = 1 if x > 0 else -1
             continue
         g2, u, v = _egcd(acc, x)

@@ -50,9 +50,6 @@ class PolynomialSequence:
     def identity(cls, model: FilteredNilmanifoldModel) -> "PolynomialSequence":
         return cls(model, tuple(model.identity() for _ in range(model.degree + 1)))
 
-    def __call__(self, n: int) -> UnitriangularElement:
-        return taylor_eval(self, n)
-
     def defect(self, q: int) -> "PolynomialSequence":
         """The polynomial n -> g(n+q)^{-1} g(n)."""
         s = self.model.degree

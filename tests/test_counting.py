@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -54,6 +55,46 @@ def test_cyclic_function_validation():
     for bad in (np.nan, complex(np.nan, 0), complex(0, np.nan), np.inf):
         with pytest.raises(ValueError, match="unit disc"):
             CyclicFunction(3, np.array([0.5, bad, 0.0]))
+
+
+_HALF5 = CyclicFunction.constant(0.5, 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_fraction(1j), TypeError, "cannot interpret 1j as a rational"),
+        (lambda: CyclicFunction(0, np.ones(0)), ValueError, "modulus must be positive"),
+        (lambda: CyclicSubset(0, ()), ValueError, "modulus must be positive"),
+        (lambda: CyclicSubset(5, (1, 5)), ValueError, "members must lie in [0, N)"),
+        (lambda: CyclicSubset(5, (2, 2)), ValueError, "members must be strictly increasing"),
+        (
+            lambda: sol_brute([_HALF5] * 3, three_ap()).fraction,
+            ValueError,
+            "no exact count: inputs were not indicators",
+        ),
+        (
+            lambda: sol_brute([_HALF5] * 2, three_ap()),
+            ValueError,
+            "system has 3 forms but got 2 inputs",
+        ),
+        (
+            lambda: sol_count([CyclicSubset(5, ()), CyclicSubset(7, ())], dilate_pair(2)),
+            ValueError,
+            "all inputs must share one modulus",
+        ),
+        (
+            lambda: l1_deviation(_HALF5, CyclicFunction.constant(0.5, 7)),
+            ValueError,
+            "moduli differ",
+        ),
+    ],
+    ids=["not-rational", "function-modulus", "subset-modulus", "member-range",
+         "not-increasing", "not-indicator", "slot-count", "mixed-moduli", "l1-moduli"],
+)
+def test_input_error_messages(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_subset_file_round_trip(tmp_path):
@@ -150,7 +191,9 @@ def test_translation_invariance_for_invariant_systems():
 
 def test_sol_fast_matches_brute_on_examples():
     rng = np.random.default_rng(11)
-    for system in (three_ap(), dilate_pair(2), kernel_system((1, 1, -3))):
+    # ((1, 0), (0, 1)) has image all of (Z/N)^2: k = 0, Sol is the product of the means
+    full = LinearFormSystem(((1, 0), (0, 1)))
+    for system in (three_ap(), dilate_pair(2), kernel_system((1, 1, -3)), full):
         kp = kernelize(system)
         n = 53
         fs = [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclicforms import extremal
-from cyclicforms.counting import CyclicSubset, has_configuration, sol_count
+from cyclicforms.counting import CyclicSubset, SolutionMeasure, has_configuration, sol_count
 from cyclicforms.extremal import (
     _anneal,
     _anneal_setup,
@@ -445,8 +445,9 @@ def test_max_free_density_examples():
     pair = dilate_pair(2)
     assert max_free_density_exact([pair], 5).value == Fraction(2, 5)
     assert max_free_density_exact([pair], 7).value == Fraction(2, 7)
-    empty = max_free_density_exact([], 9)
-    assert empty.value == 1 and len(empty.certificate) == 9
+    for solver in (max_free_density_exact, max_free_density_heuristic):
+        empty = solver([], 9)
+        assert empty.value == 1 and len(empty.certificate) == 9
 
 
 def test_max_free_density_matches_dependent_pair():
@@ -605,6 +606,38 @@ def test_free_certificates_are_recounted(monkeypatch, solver, ignore_constant_co
     monkeypatch.setattr(extremal, "_forbidden_edges", lambda *args: [])
     with pytest.raises(AssertionError, match="forbidden configuration"):
         solver([three_ap()], 20, ignore_constant_configs=ignore_constant_configs)
+
+
+def _recount_finding(count):
+    """A stand-in for ``sol_count`` that always reports ``count`` configurations."""
+    return lambda *args: SolutionMeasure(0j, 10**6, count=count)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: min_sol_exact(three_ap(), Fraction(2, 5), 5), "certificate re-verification failed"),
+        (lambda: dependent_pair_exact(2, 13), "free certificate contains a configuration"),
+        (lambda: weyl_set(1009, 2, 2), "power-residue interval set is not dilation-free"),
+        (lambda: multiplicative_free_set(2, 7), "multiplicative construction is not dilation-free"),
+        (
+            lambda: interval_free_set(kernel_system((1, 1, -3)), 101),
+            "freeness table and recount disagree",
+        ),
+    ],
+    ids=["verify-exact", "dependent-pair-free", "weyl", "multiplicative", "interval"],
+)
+def test_certificate_self_checks_fire_on_a_wrong_recount(monkeypatch, call, message):
+    monkeypatch.setattr(extremal, "sol_count", _recount_finding(1))
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        call()
+
+
+def test_cycle_placement_check_fires_on_a_wrong_recount(monkeypatch):
+    # a recount of 0 passes the free-certificate check, then contradicts the convex cost
+    monkeypatch.setattr(extremal, "sol_count", _recount_finding(0))
+    with pytest.raises(AssertionError, match="cycle placement cost 0 != convex optimum"):
+        dependent_pair_exact(2, 13, Fraction(3, 4))
 
 
 def test_dependent_pair_exact_values():

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclicforms import forms
@@ -73,6 +74,32 @@ def test_validation_rejects_bad_input():
         LinearFormSystem(((0, 0),))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinearFormSystem(((),)), "forms need at least one variable"),
+        (lambda: LinearFormSystem.from_json("[[1, 0]]"), 'expected an object with a "forms" key'),
+        (lambda: LinearFormSystem.from_json('{"forms": [[]]}'), "each form must be a non-empty list"),
+        (lambda: LinearFormSystem.from_json('{"forms": [[1]], "name": 3}'), '"name" must be a string'),
+        (
+            lambda: forms.KernelPresentation(matrix=(), bad_modulus=1).kernel_mod_n(5),
+            "k = 0 presentation: the kernel is all of (Z/n)^t",
+        ),
+        (lambda: progression_system(0), "k must be positive"),
+        (lambda: kernel_system((1,)), "need at least two coefficients"),
+        (
+            lambda: kernel_system((2, 3)),
+            "need a coefficient of magnitude 1 for an exact parametrization",
+        ),
+    ],
+    ids=["no-variable", "not-object", "empty-form", "name", "k0-kernel", "progression",
+         "one-coefficient", "no-unit"],
+)
+def test_input_error_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_json_round_trip_and_strictness():
     system = three_ap()
     again = LinearFormSystem.from_json(system.to_json())
@@ -92,6 +119,7 @@ def test_json_round_trip_and_strictness():
         max_size=4,
     )
 )
+@example([[2, 0], [0, 3]])  # 2 does not divide 3: the divisibility fix-up always runs
 @settings(max_examples=150, deadline=None)
 def test_smith_normal_form_properties(rows):
     width = len(rows[0])
@@ -250,6 +278,8 @@ def test_as_dependent_pair():
     assert as_dependent_pair(dilate_pair(-7)) == -7
     assert as_dependent_pair(three_ap()) is None
     assert as_dependent_pair(LinearFormSystem(((1, 0), (0, 1)))) is None
+    assert as_dependent_pair(LinearFormSystem(((2,), (3,)))) is None  # k = 3/2
+    assert as_dependent_pair(LinearFormSystem(((2, 0), (-4, 0)))) == -2
 
 
 def test_progression_system_shape():

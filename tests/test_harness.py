@@ -6,6 +6,7 @@ from cyclicforms import harness
 from cyclicforms.forms import LinearFormSystem, dilate_pair, three_ap
 from cyclicforms.harness import (
     CSV_HEADER,
+    ScanRecord,
     determinism_digest,
     render_svg,
     scan_convergence,
@@ -135,3 +136,10 @@ def test_scan_alpha_bounds_are_inclusive_and_ignored_for_density():
 
 def test_render_svg_no_data():
     assert "no data" in render_svg([])
+
+
+def test_render_svg_single_point_widens_both_ranges():
+    svg = render_svg([ScanRecord(7, True, 7, "m", 0.5, "exact", 0, 1.0)])
+    assert '<circle cx="50.00" cy="350.00" r="4" stroke="#345" fill="#345"/>' in svg
+    assert "N from 7 to 8; filled = prime" in svg
+    assert "quantity m: 0.5 to 0.5</text>" in svg

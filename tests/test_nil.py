@@ -29,6 +29,7 @@ from cyclicforms.nil import (
     taylor_expand,
     torus,
 )
+from cyclicforms.nil.characters import _solve_dot
 from cyclicforms.nil.matrices import (
     exp_poly,
     exp_terms,
@@ -648,6 +649,13 @@ def test_factor_coefficient_planted_heisenberg():
     assert m.in_lattice_level(gamma, 1)
     assert xi.value(m, g_prime) == 0
     assert (g_prime * gamma).entries == g.entries
+
+
+def test_solve_dot_bezout_path():
+    for k, target in (((2, 3), 7), ((4, 0, -6), 10), ((6, 10, 15), -1), ((0, -3, 5), 4)):
+        t = _solve_dot(k, target)
+        assert sum(a * b for a, b in zip(k, t)) == target
+    assert _solve_dot((4, -6), 3) is None  # gcd 2 does not divide 3
 
 
 def test_factor_coefficient_errors():

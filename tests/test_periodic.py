@@ -1,6 +1,7 @@
 import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from cyclicforms.nil import (
     FilteredNilmanifoldModel,
     LevelCharacter,
     PolynomialSequence,
+    element_irrational,
     enumerate_characters,
     heisenberg_deg3,
     heisenberg_lcs,
@@ -59,12 +61,32 @@ def test_qth_root_precondition_bound():
     assert m.in_lattice(w**37)
 
 
+class _ZeroProbes:
+    """A stand-in rng whose every probe is t = 0, which k . t = 0 = a_k rejects when h = 1."""
+
+    def __init__(self):
+        self.probes = 0
+
+    def integers(self, low, high, size):
+        self.probes += 1
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_qth_root_falls_back_to_the_sweep(monkeypatch):
+    probes = _ZeroProbes()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: probes)
+    m = heisenberg_lcs()
+    w = irrational_qth_root(m, 1, m.identity(), 37, 3, rng=0)
+    assert probes.probes == 10 * (3 + 1) ** 2  # every rejection-sampling probe was spent
+    assert m.in_lattice(w**37)
+    ok, _ = element_irrational(m, 1, w, 3)
+    assert ok
+
+
 def test_qth_root_heisenberg_with_offset():
     m = heisenberg_lcs()
     h = m.from_coords([Fraction(1, 2), 0, 0])
     w = irrational_qth_root(m, 1, h, 41, 2, rng=5)
-    from cyclicforms.nil import element_irrational
-
     ok, _ = element_irrational(m, 1, h * w, 2)
     assert ok
     assert m.in_lattice((w**41))
