@@ -125,18 +125,28 @@ def _extremal_payload(command: str, result) -> dict:
     return payload
 
 
+def _heuristic_options(args) -> dict:
+    """Solver keywords of a ``--heuristic`` run (a subcommand ``--seed`` beats the global
+    one); ``--seed`` or ``--budget`` given without ``--heuristic`` is an input error."""
+    given = {"seed": args.run_seed, "budget": getattr(args, "budget", None)}
+    given = {name: value for name, value in given.items() if value is not None}
+    if given and not args.heuristic:
+        raise ValueError(f"--{next(iter(given))} applies only with --heuristic")
+    return {"seed": args.seed, **given} if args.heuristic else {}
+
+
 def cmd_extremal_sol(args) -> int:
+    kw = _heuristic_options(args)
     system = LinearFormSystem.load(args.system)
     solver = args.heuristic_solver if args.heuristic else args.exact_solver
-    kw = {"seed": args.seed, "budget": args.budget} if args.heuristic else {}
     result = solver(system, args.alpha, args.n, **kw)
     _emit(args, _extremal_payload(args.command, result))
     return 0
 
 
 def cmd_max_free(args) -> int:
+    kw = _heuristic_options(args)
     solver = max_free_density_heuristic if args.heuristic else max_free_density_exact
-    kw = {"seed": args.seed} if args.heuristic else {}
     result = solver(
         _load_family(args.family), args.n, ignore_constant_configs=args.ignore_constant, **kw
     )
@@ -328,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", action="store_true")
         group.add_argument("--heuristic", action="store_true")
-        p.add_argument("--budget", type=int, default=4000)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--budget", type=int)
+        p.add_argument("--seed", type=int, dest="run_seed")
         p.set_defaults(func=cmd_extremal_sol, exact_solver=exact, heuristic_solver=heuristic)
 
     p = sub.add_parser("max-free", help="maximum free density for a family")
@@ -339,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true")
     group.add_argument("--heuristic", action="store_true")
     p.add_argument("--ignore-constant", action="store_true", dest="ignore_constant")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, dest="run_seed")
     p.set_defaults(func=cmd_max_free)
 
     p = sub.add_parser("construct", help="explicit free-set constructions")

@@ -11,9 +11,10 @@ iterator over fetched blocks, and reads one cached temperature table.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
-configurations inside it.  The bound prunes only subtrees that hold no
-strict improvement, so the certificate is the one a bound by size alone
-returns: the first maximum free set in depth-first order.
+configurations inside it, and never again excludes a vertex once the
+sibling that excluded it has finished.  Neither rule skips a subtree that
+holds a strict improvement, so the certificate is the one a bound by size
+alone returns: the first maximum free set in depth-first order.
 """
 
 from __future__ import annotations
@@ -411,22 +412,29 @@ def _verify_free(
 def _max_independent_bb(n: int, edges: list[frozenset[int]]):
     """Exact maximum subset of [0, n) containing no edge entirely.
 
-    A node is a candidate set ``avail`` together with ``live``, the bitset
-    (bit i for ``edges[i]``) of edges lying entirely inside it.  The node
-    branches on the first live edge in list order, excluding each of its
-    vertices in increasing order; excluding v leaves
-    ``live & ~incident[v]``.  A node with no live edge is a free set, and
-    it replaces the best set found so far only if it is strictly larger.
+    A node is a candidate set ``avail``, ``live``, the bitset (bit i for
+    ``edges[i]``) of edges lying entirely inside it, and ``kept``, the
+    vertices no descendant may exclude.  The node branches on the first
+    live edge in list order, excluding each of its vertices outside
+    ``kept`` in increasing order; excluding v leaves ``live &
+    ~incident[v]``, and once that child returns v joins ``kept``, so an
+    edge wholly inside ``kept`` gives no child.  A node with no live edge
+    is a free set, and it replaces the best set found so far only if it is
+    strictly larger.
 
     Bound: greedily pick ν pairwise vertex-disjoint live edges (take the
     first live edge, drop every edge sharing a vertex with it, repeat).
     A free subset of ``avail`` leaves out a distinct vertex of each, so it
     has at most |avail| − ν elements, and the node is pruned when that is
-    no more than the best size.  A pruned subtree holds no strict
-    improvement, so the search meets the same improving sets in the same
-    DFS order as under the plain |avail| bound, and returns the same one:
-    the first maximum free set in DFS order.  Only the node count falls.
-    Every node, pruned or not, counts against ``NODE_BUDGET``.
+    no more than the best size.  A child skipped for a kept vertex u has
+    its candidate set inside that of u's finished sibling, and a finished
+    subtree leaves the best size at least its largest free subset.  So
+    neither a pruned nor a skipped subtree holds a strict improvement: the
+    search meets the same improving sets in the same DFS order as under
+    the plain |avail| bound, and returns the same one, the first maximum
+    free set in DFS order.  Skipped children are never visited or
+    counted; every visited node, pruned or not, counts against
+    ``NODE_BUDGET``.
     """
     edge_masks = [sum(1 << v for v in e) for e in edges]
     incident = [0] * n  # incident[v]: the edges through v
@@ -439,7 +447,7 @@ def _max_independent_bb(n: int, edges: list[frozenset[int]]):
             block[idx] |= incident[v]
     best_mask, best_size, nodes = 0, -1, 0
 
-    def recurse(avail: int, live: int) -> None:
+    def recurse(avail: int, live: int, kept: int) -> None:
         nonlocal best_mask, best_size, nodes
         nodes += 1
         if nodes > NODE_BUDGET:  # tested inline: this runs at every node
@@ -454,13 +462,14 @@ def _max_independent_bb(n: int, edges: list[frozenset[int]]):
         if not live:
             best_mask, best_size = avail, size
             return
-        v = edge_masks[(live & -live).bit_length() - 1]
+        v = edge_masks[(live & -live).bit_length() - 1] & ~kept
         while v:
             bit = v & -v
-            recurse(avail & ~bit, live & ~incident[bit.bit_length() - 1])
+            recurse(avail & ~bit, live & ~incident[bit.bit_length() - 1], kept)
+            kept |= bit
             v &= v - 1
 
-    recurse((1 << n) - 1, (1 << len(edges)) - 1)
+    recurse((1 << n) - 1, (1 << len(edges)) - 1, 0)
     return best_mask, best_size
 
 

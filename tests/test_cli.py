@@ -351,14 +351,39 @@ def test_prime_q_at_most_the_degree_is_an_input_error(capsys, model, q):
         (["min-sol", "--alpha", "1/2", "--n", "-3"], "modulus must be positive"),
         (["min-sol", "--heuristic", "--alpha", "1/2", "--n", "0"], "modulus must be positive"),
         (["max-sol", "--alpha", "3/2", "--n", "7"], "alpha must lie between 0 and 1"),
+        # flags that only --heuristic reads are refused without it
+        (["min-sol", "--exact", "--budget", "-5", "--alpha", "2/5", "--n", "7"],
+         "--budget applies only with --heuristic"),
+        (["max-sol", "--budget", "100", "--alpha", "2/5", "--n", "7"],
+         "--budget applies only with --heuristic"),
+        (["min-sol", "--seed", "3", "--alpha", "2/5", "--n", "7"],
+         "--seed applies only with --heuristic"),
+        (["max-sol", "--exact", "--seed", "3", "--alpha", "2/5", "--n", "7"],
+         "--seed applies only with --heuristic"),
+        (["max-free", "--seed", "3", "--n", "7"], "--seed applies only with --heuristic"),
+        (["max-free", "--exact", "--seed", "3", "--n", "7"],
+         "--seed applies only with --heuristic"),
     ],
 )
 def test_extremal_bad_size_or_budget_is_an_input_error(capsys, system_file, argv, message):
-    code = main([*argv, "--system", system_file])
+    input_flag = "--family" if argv[0] == "max-free" else "--system"
+    code = main([*argv, input_flag, system_file])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_heuristic_flags_keep_their_defaults_and_precedence(capsys, system_file):
+    argv = ["max-sol", "--system", system_file, "--alpha", "2/5", "--n", "11", "--heuristic"]
+    _, local = _run(capsys, ["--seed", "1", *argv, "--seed", "3"])
+    _, global_only = _run(capsys, ["--seed", "3", *argv])
+    _, default = _run(capsys, argv)
+    assert local == global_only
+    assert default == _run(capsys, [*argv, "--budget", "4000", "--seed", "0"])[1]
+    # the global --seed is accepted, and unused, by the exact solvers
+    code, _ = _run(capsys, ["--seed", "3", "min-sol", *argv[1:-1], "--exact"])
+    assert code == 0
 
 
 def test_budget_exhaustion_exit_code(capsys, system_file):

@@ -12,6 +12,7 @@ from cyclicforms import counting
 from cyclicforms.counting import (
     CyclicFunction,
     CyclicSubset,
+    SolutionMeasure,
     as_fraction,
     complement_sol,
     has_configuration,
@@ -235,6 +236,17 @@ def test_complement_identity_examples():
     assert complement_sol(CyclicSubset.full(7)) == (Fraction(1), Fraction(0))
     with pytest.raises(ValueError):
         complement_sol(CyclicSubset(4, (0,)))
+
+
+def test_complement_identity_check_fires_on_a_wrong_count(monkeypatch):
+    # a counter that misses one configuration breaks 1 - 3 alpha + 3 alpha^2
+    def short_by_one(a, system):
+        measure = sol_count(a, system)
+        return SolutionMeasure(measure.value, measure.points, count=measure.count - 1)
+
+    monkeypatch.setattr(counting, "sol_count", short_by_one)
+    with pytest.raises(AssertionError, match="complement identity violated"):
+        complement_sol(CyclicSubset(5, (0, 1)))
 
 
 def test_l1_examples():

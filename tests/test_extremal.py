@@ -555,13 +555,17 @@ FREE_SYSTEMS = [
     st.lists(st.sampled_from(range(len(FREE_SYSTEMS))), min_size=1, max_size=3, unique=True),
     st.integers(1, 16),
     st.booleans(),
+    st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_branch_and_bound_matches_reference(picks, n, ignore_constant_configs):
-    # The disjoint-edge bound prunes only subtrees without a strict
-    # improvement, so the first maximum set in DFS order is unchanged.
+def test_branch_and_bound_matches_reference(picks, n, ignore_constant_configs, data):
+    # The disjoint-edge bound and the kept vertices skip only subtrees
+    # without a strict improvement, so the first maximum set in DFS order
+    # is unchanged, in _forbidden_edges' order and in any other.
     edges = _forbidden_edges([FREE_SYSTEMS[i] for i in picks], n, ignore_constant_configs)
     assert _max_independent_bb(n, edges) == _max_independent_bb_reference(n, edges)
+    shuffled = data.draw(st.permutations(edges))
+    assert _max_independent_bb(n, shuffled) == _max_independent_bb_reference(n, shuffled)
 
 
 def _unit_dilation_free_density(k, n):
@@ -590,6 +594,26 @@ def test_branch_and_bound_reaches_past_the_old_node_budget():
     # free 7-set exists iff every set of at least 7 elements holds more.
     assert sol_count(weak.certificate, three_ap()).count == 6
     assert min_sol_exact(three_ap(), Fraction(7, 19), 19).value > Fraction(7, 19**2)
+
+
+def test_branch_and_bound_settles_odd_n_past_20():
+    # Non-constant 3APs at odd N = 21..27 finish within the node budget
+    # only because finished siblings' vertices are kept.
+    weak = max_free_density_exact([three_ap()], 21, ignore_constant_configs=True)
+    assert weak.value == Fraction(2, 7)
+    assert sol_count(weak.certificate, three_ap()).count == 6
+    assert min_sol_exact(three_ap(), Fraction(7, 21), 21).value > Fraction(7, 21**2)
+    for n, value in ((23, Fraction(6, 23)), (25, Fraction(7, 25)), (27, Fraction(8, 27))):
+        weak = max_free_density_exact([three_ap()], n, ignore_constant_configs=True)
+        assert weak.value == value
+        assert sol_count(weak.certificate, three_ap()).count == len(weak.certificate)
+
+
+def test_kept_vertices_cut_the_node_count(monkeypatch):
+    # 74,431 nodes without kept vertices; a timing-free guard on the rule.
+    monkeypatch.setattr(extremal, "NODE_BUDGET", 5_000)
+    weak = max_free_density_exact([three_ap()], 15, ignore_constant_configs=True)
+    assert weak.value == Fraction(4, 15)
 
 
 def test_branch_and_bound_node_budget_still_raises(monkeypatch):

@@ -29,6 +29,8 @@ from cyclicforms.nil import (
     taylor_expand,
     torus,
 )
+from cyclicforms.nil import characters
+from cyclicforms.nil import poly as nil_poly
 from cyclicforms.nil.characters import _solve_dot
 from cyclicforms.nil.matrices import (
     exp_poly,
@@ -296,6 +298,20 @@ def test_frac_int_parts_fixed_points():
     assert (frac_part * int_part).entries == spec_case.entries
 
 
+def test_frac_int_parts_reconstruction_check_fires(monkeypatch):
+    # a split sweep that drops its integer parts builds [g] = identity
+    m = heisenberg_lcs()
+    sweep = FilteredNilmanifoldModel.malcev_sweep
+
+    def without_int_parts(self, g, count, split=False):
+        coords, int_parts = sweep(self, g, count, split)
+        return coords, [0] * len(int_parts)
+
+    monkeypatch.setattr(FilteredNilmanifoldModel, "malcev_sweep", without_int_parts)
+    with pytest.raises(AssertionError, match="fractional/integral split failed to reconstruct"):
+        m.frac_int_parts(m.from_coords([Fraction(3, 2), Fraction(-1, 4), Fraction(7, 3)]))
+
+
 # ---------------------------------------------------------------------------
 # model validation
 
@@ -460,6 +476,14 @@ def test_taylor_expand_rejects_non_polynomial_values():
     # g(0)=g(1)=id forces g_2 = g(2) which must land in G_2 = center
     with pytest.raises(TaylorLevelError):
         taylor_expand(m, values)
+
+
+def test_taylor_expand_round_trip_check_fires(monkeypatch):
+    m = heisenberg_lcs()
+    h = m.from_coords([Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)])
+    monkeypatch.setattr(nil_poly, "taylor_eval", lambda poly, n: poly.model.identity())
+    with pytest.raises(AssertionError, match="expansion failed to reproduce its input values"):
+        taylor_expand(m, [h, h, h])
 
 
 def test_constant_sequence_expansion():
@@ -649,6 +673,41 @@ def test_factor_coefficient_planted_heisenberg():
     assert m.in_lattice_level(gamma, 1)
     assert xi.value(m, g_prime) == 0
     assert (g_prime * gamma).entries == g.entries
+
+
+def _factor_planted_heisenberg():
+    m = heisenberg_lcs()
+    return factor_coefficient(m, 1, m.from_coords([2, Fraction(1, 997), 0]), 2, q=997)
+
+
+def test_factorization_lattice_check_fires(monkeypatch):
+    # a half-integral solution of k . t = xi(g_i) puts gamma outside the lattice
+    solve = characters._solve_dot
+    monkeypatch.setattr(
+        characters, "_solve_dot", lambda k, target: [x + Fraction(1, 2) for x in solve(k, target)]
+    )
+    with pytest.raises(AssertionError, match="gamma left the level lattice"):
+        _factor_planted_heisenberg()
+
+
+def test_factorization_kernel_check_fires(monkeypatch):
+    # solving k . t = xi(g_i) + hcf(k) leaves xi(g_i') = -hcf(k) != 0
+    solve = characters._solve_dot
+    monkeypatch.setattr(
+        characters, "_solve_dot", lambda k, target: solve(k, target + math.gcd(*k))
+    )
+    with pytest.raises(AssertionError, match="g_i' escaped the character kernel"):
+        _factor_planted_heisenberg()
+
+
+def test_factorization_multiply_back_check_fires(monkeypatch):
+    # an inverse off by a central lattice element keeps xi(g_i') = 0 but
+    # makes g_i' gamma = g_i z
+    z = heisenberg_lcs().from_coords([0, 0, 1])
+    inverse = UnitriangularElement.inverse
+    monkeypatch.setattr(UnitriangularElement, "inverse", lambda self: inverse(self) * z)
+    with pytest.raises(AssertionError, match="factorization does not multiply back"):
+        _factor_planted_heisenberg()
 
 
 def test_solve_dot_bezout_path():
