@@ -1,8 +1,9 @@
 """Scripted acceptance experiments with pinned tolerances.
 
-Each criterion is a callable returning a CriterionReport; the test suite
-asserts the reports and the ``reproduce`` entry point replays any one of
-them by id.  Tolerances are fixed here, not configurable.
+Each criterion is a check registered under its id in ``CRITERIA``, as a
+callable returning a CriterionReport; the test suite asserts the reports
+and the ``reproduce`` entry point replays any one of them by id.
+Tolerances are fixed here, not configurable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .counting import (
     CyclicSubset,
     complement_sol,
     sol_brute,
-    sol_count,
     sol_fast,
 )
 from .extremal import (
@@ -42,6 +42,7 @@ from .forms import (
 )
 from .gowers import gowers_norm, gowers_norm_definitional, gvn_check, random_round
 from .nil import (
+    LevelCharacter,
     PolynomialSequence,
     annihilator_lattice,
     enumerate_characters,
@@ -77,14 +78,31 @@ class CriterionReport:
         return f"[{status}] {self.criterion} ({self.elapsed_s:.1f}s)"
 
 
-def _report(criterion: str, t0: float, failures: list, **details) -> CriterionReport:
-    return CriterionReport(
-        criterion=criterion,
-        passed=not failures,
-        elapsed_s=time.perf_counter() - t0,
-        details=details,
-        failures=failures,
-    )
+CRITERIA: dict = {}
+
+
+def _criterion(criterion: str):
+    """Register ``check(failures) -> details`` as the criterion's zero-argument ``run()``.
+
+    ``run()`` times the check and reports it passed when the check appended
+    no failure; ``CRITERIA`` keeps the criteria in definition order.
+    """
+
+    def register(check):
+        def run() -> CriterionReport:
+            t0 = time.perf_counter()
+            failures: list = []
+            details = check(failures)
+            return CriterionReport(
+                criterion, not failures, time.perf_counter() - t0, details, failures
+            )
+
+        run.__name__ = run.__qualname__ = check.__name__
+        run.__doc__ = check.__doc__
+        CRITERIA[criterion] = run
+        return run
+
+    return register
 
 
 def _random_function(rng: np.random.Generator, n: int) -> CyclicFunction:
@@ -105,9 +123,9 @@ def _random_subset(rng: np.random.Generator, n: int) -> CyclicSubset:
 # ---------------------------------------------------------------------------
 
 
-def run_sol_oracle() -> CriterionReport:
+@_criterion("sol-oracle")
+def run_sol_oracle(failures: list) -> dict:
     """Fast-path counting matches the brute-force oracle to 1e-9."""
-    t0 = time.perf_counter()
     systems = [
         three_ap(),
         four_ap(),
@@ -115,7 +133,6 @@ def run_sol_oracle() -> CriterionReport:
         dilate_pair(2),
     ]
     rng = np.random.default_rng(20240)
-    failures = []
     instances = 0
     worst = 0.0
     for n in (53, 101):
@@ -133,14 +150,13 @@ def run_sol_oracle() -> CriterionReport:
                 instances += 1
                 if err > 1e-9:
                     failures.append(f"{system.name} N={n} trial={trial}: err={err:.3e}")
-    return _report("sol-oracle", t0, failures, instances=instances, worst_error=worst)
+    return dict(instances=instances, worst_error=worst)
 
 
-def run_complement_identity() -> CriterionReport:
+@_criterion("complement-identity")
+def run_complement_identity(failures: list) -> dict:
     """Sol_3AP(A) + Sol_3AP(A^c) = 1 - 3a + 3a^2 exactly, for odd N."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    failures = []
     checked = 0
     for n in range(5, 102, 2):
         for _ in range(50):
@@ -150,13 +166,11 @@ def run_complement_identity() -> CriterionReport:
             except AssertionError as exc:
                 failures.append(f"N={n}: {exc}")
             checked += 1
-    return _report("complement-identity", t0, failures, checked=checked)
+    return dict(checked=checked)
 
 
-def _run_gvn(system: LinearFormSystem, s: int, n: int, label: str) -> CriterionReport:
-    t0 = time.perf_counter()
+def _run_gvn(system: LinearFormSystem, s: int, n: int, failures: list) -> dict:
     rng = np.random.default_rng(101)
-    failures = []
     for trial in range(100):
         f = _random_unit_function(rng, n)
         g = _random_unit_function(rng, n)
@@ -165,24 +179,25 @@ def _run_gvn(system: LinearFormSystem, s: int, n: int, label: str) -> CriterionR
             failures.append(
                 f"trial {trial}: |dSol|={rep.lhs:.6f} > L*norm={rep.rhs:.6f}"
             )
-    return _report(label, t0, failures, trials=100, modulus=n, degree=s)
+    return dict(trials=100, modulus=n, degree=s)
 
 
-def run_gvn_3ap() -> CriterionReport:
+@_criterion("gvn-3ap")
+def run_gvn_3ap(failures: list) -> dict:
     """|Sol(f) - Sol(g)| <= L ||f-g||_{U^2} over 100 random pairs on Z/53."""
-    return _run_gvn(three_ap(), 1, 53, "gvn-3ap")
+    return _run_gvn(three_ap(), 1, 53, failures)
 
 
-def run_gvn_4ap() -> CriterionReport:
+@_criterion("gvn-4ap")
+def run_gvn_4ap(failures: list) -> dict:
     """|Sol(f) - Sol(g)| <= L ||f-g||_{U^3} over 100 random pairs on Z/31."""
-    return _run_gvn(four_ap(), 2, 31, "gvn-4ap")
+    return _run_gvn(four_ap(), 2, 31, failures)
 
 
-def run_gowers_oracle() -> CriterionReport:
+@_criterion("gowers-oracle")
+def run_gowers_oracle(failures: list) -> dict:
     """Recursive U^d equals the definitional grid sum to 1e-9, N <= 20, d <= 4."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(33)
-    failures = []
     worst = 0.0
     for n in range(1, 21):
         for d in range(1, 5):
@@ -194,7 +209,7 @@ def run_gowers_oracle() -> CriterionReport:
                 worst = max(worst, err)
                 if err > 1e-9:
                     failures.append(f"N={n} d={d} trial={trial}: err={err:.2e}")
-    return _report("gowers-oracle", t0, failures, worst_error=worst)
+    return dict(worst_error=worst)
 
 
 def _min_sol_oracle(system: LinearFormSystem, alpha: Fraction, n: int) -> Fraction:
@@ -227,10 +242,9 @@ def _free_density_oracle(system: LinearFormSystem, n: int) -> Fraction:
     return Fraction(best, n)
 
 
-def run_extremal_exact() -> CriterionReport:
+@_criterion("extremal-exact")
+def run_extremal_exact(failures: list) -> dict:
     """Exact extremal solvers agree with independent exhaustive oracles."""
-    t0 = time.perf_counter()
-    failures = []
     system = three_ap()
     pinned = min_sol_exact(system, Fraction(2, 5), 5)
     if pinned.value != Fraction(2, 25):
@@ -249,37 +263,32 @@ def run_extremal_exact() -> CriterionReport:
         oracle = _free_density_oracle(pair, n)
         if got != oracle:
             failures.append(f"d(pair, {n}) = {got} != 2^N oracle {oracle}")
-    return _report("extremal-exact", t0, failures)
+    return {}
 
 
 def _weyl_once(p: int) -> tuple[Fraction, float]:
-    subset = weyl_set(p, 2, 2)
-    count = sol_count(subset, dilate_pair(2)).count
-    if count != 0:
-        raise AssertionError(f"weyl set at p={p} has {count} configurations")
+    subset = weyl_set(p, 2, 2)  # raises unless the set is free of (x, 2x)
     density = subset.density
     alpha = float(density)
     diff = CyclicFunction(p, subset.indicator_array().astype(np.complex128) - alpha)
     return density, gowers_norm(diff, 2)
 
 
-def run_weyl_1009() -> CriterionReport:
+@_criterion("weyl-1009")
+def run_weyl_1009(failures: list) -> dict:
     """p=1009, k=2, d=2: free, density near 1/32, U^2 deviation <= 0.3."""
-    t0 = time.perf_counter()
-    failures = []
     density, u2 = _weyl_once(1009)
     target = weyl_target_density(2, 2)
     if abs(float(density) - float(target)) > 0.02:
         failures.append(f"density {float(density):.4f} not within 0.02 of {float(target):.4f}")
     if u2 > 0.3:
         failures.append(f"U^2 deviation {u2:.4f} > 0.3")
-    return _report("weyl-1009", t0, failures, density=float(density), u2=u2)
+    return dict(density=float(density), u2=u2)
 
 
-def run_weyl_10007() -> CriterionReport:
+@_criterion("weyl-10007")
+def run_weyl_10007(failures: list) -> dict:
     """p=10007: tighter U^2 bound and strict decrease from p=1009."""
-    t0 = time.perf_counter()
-    failures = []
     density_small, u2_small = _weyl_once(1009)
     density, u2 = _weyl_once(10007)
     target = weyl_target_density(2, 2)
@@ -289,13 +298,12 @@ def run_weyl_10007() -> CriterionReport:
         failures.append(f"U^2 deviation {u2:.4f} > 0.2")
     if not u2 < u2_small:
         failures.append(f"U^2 deviation did not decrease: {u2:.4f} vs {u2_small:.4f}")
-    return _report("weyl-10007", t0, failures, u2_1009=u2_small, u2_10007=u2)
+    return dict(u2_1009=u2_small, u2_10007=u2)
 
 
-def run_dependent_pair() -> CriterionReport:
+@_criterion("dependent-pair")
+def run_dependent_pair(failures: list) -> dict:
     """Cycle-decomposition exact values for the dependent pair (x, 2x)."""
-    t0 = time.perf_counter()
-    failures = []
     for p, want in ((5, Fraction(2, 5)), (7, Fraction(2, 7))):
         got = dependent_pair_exact(2, p)[0].value
         oracle = _free_density_oracle(dilate_pair(2), p)
@@ -313,25 +321,16 @@ def run_dependent_pair() -> CriterionReport:
     hi = Fraction(1, 2) + Fraction(2, order_1009) + Fraction(2, 1009)
     if not (lo <= min_result.value <= hi):
         failures.append(f"m(3/4, 1009) = {min_result.value} outside [{lo}, {hi}]")
-    return _report(
-        "dependent-pair",
-        t0,
-        failures,
-        order_101=order,
-        order_1009=order_1009,
-        m_3_4_1009=str(min_result.value),
-    )
+    return dict(order_101=order, order_1009=order_1009, m_3_4_1009=str(min_result.value))
 
 
-def _run_rounding(d: int, label: str) -> CriterionReport:
-    t0 = time.perf_counter()
+def _run_rounding(d: int, failures: list) -> dict:
     n = 4093
     bound = 5 * n ** (-1.0 / (1 << d))
     rng = np.random.default_rng(4093)
     functions = [CyclicFunction.constant(0.5, n)]
     for _ in range(10):
         functions.append(CyclicFunction(n, rng.random(n).astype(np.complex128)))
-    failures = []
     medians = []
     for idx, f in enumerate(functions):
         norms = []
@@ -343,24 +342,23 @@ def _run_rounding(d: int, label: str) -> CriterionReport:
         medians.append(med)
         if med > bound:
             failures.append(f"function {idx}: median {med:.4f} > {bound:.4f}")
-    return _report(
-        label, t0, failures, bound=bound, worst_median=max(medians), d=d
-    )
+    return dict(bound=bound, worst_median=max(medians), d=d)
 
 
-def run_rounding_u2() -> CriterionReport:
+@_criterion("rounding-u2")
+def run_rounding_u2(failures: list) -> dict:
     """Random rounding stays within 5 N^{-1/4} of f in U^2 (median of 11 seeds)."""
-    return _run_rounding(2, "rounding-u2")
+    return _run_rounding(2, failures)
 
 
-def run_rounding_u3() -> CriterionReport:
+@_criterion("rounding-u3")
+def run_rounding_u3(failures: list) -> dict:
     """Random rounding stays within 5 N^{-1/8} of f in U^3 (median of 11 seeds)."""
-    return _run_rounding(3, "rounding-u3")
+    return _run_rounding(3, failures)
 
 
-def _run_periodic(model, q: int, bound: int, label: str, vertical_tol: float) -> CriterionReport:
-    t0 = time.perf_counter()
-    failures = []
+def _run_periodic(model, q: int, bound: int, failures: list) -> dict:
+    vertical_tol = 2 / math.sqrt(q)
     poly = build_periodic_irrational(model, q, bound, seed=7)
     if not is_periodic(poly, q):
         failures.append("is_periodic rejected the sequence")
@@ -377,34 +375,25 @@ def _run_periodic(model, q: int, bound: int, label: str, vertical_tol: float) ->
     vert = vertical_sum(poly, q)
     if vert > vertical_tol:
         failures.append(f"vertical sum {vert:.4f} > {vertical_tol:.4f}")
-    return _report(
-        label,
-        t0,
-        failures,
-        q=q,
-        bound=bound,
-        vertical=vert,
-        characters=len(characters),
-    )
+    return dict(q=q, bound=bound, vertical=vert, characters=len(characters))
 
 
-def run_periodic_heisenberg() -> CriterionReport:
+@_criterion("periodic-heisenberg")
+def run_periodic_heisenberg(failures: list) -> dict:
     """Heisenberg build at q=227, A=3: exact periodicity, irrationality, sums."""
-    return _run_periodic(
-        heisenberg_lcs(), 227, 3, "periodic-heisenberg", 2 / math.sqrt(227)
-    )
+    return _run_periodic(heisenberg_lcs(), 227, 3, failures)
 
 
-def run_periodic_torus() -> CriterionReport:
+@_criterion("periodic-torus")
+def run_periodic_torus(failures: list) -> dict:
     """Torus m=2, s=2 build at q=37, A=2 with the same exact checks."""
-    return _run_periodic(torus(2, 2), 37, 2, "periodic-torus", 2 / math.sqrt(37))
+    return _run_periodic(torus(2, 2), 37, 2, failures)
 
 
-def run_taylor_factorization() -> CriterionReport:
+@_criterion("taylor-factorization")
+def run_taylor_factorization(failures: list) -> dict:
     """Planted non-irrational coefficients factor exactly as g_i' gamma_i."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(55)
-    failures = []
     models = [heisenberg_lcs(), heisenberg_deg3(), torus(2, 2)]
     big_prime = 997
     for model in models:
@@ -432,13 +421,12 @@ def run_taylor_factorization() -> CriterionReport:
                 failures.append(f"{model.name} level {i}: xi(g') != 0")
             if (g_prime * gamma).entries != g_i.entries:
                 failures.append(f"{model.name} level {i}: product mismatch")
-    return _report("taylor-factorization", t0, failures)
+    return {}
 
 
-def run_kernelize_roundtrip() -> CriterionReport:
+@_criterion("kernelize-roundtrip")
+def run_kernelize_roundtrip(failures: list) -> dict:
     """Kernel presentations match exact image enumeration for coprime N <= 30."""
-    t0 = time.perf_counter()
-    failures = []
     systems = [
         three_ap(),
         four_ap(),
@@ -468,48 +456,33 @@ def run_kernelize_roundtrip() -> CriterionReport:
                 kernel = kp.kernel_mod_n(n)
             if image != kernel:
                 failures.append(f"{system.name} N={n}: image != kernel")
-    return _report("kernelize-roundtrip", t0, failures)
+    return {}
 
 
-def _random_level_element(model, rng, i: int):
-    blk = model.block(i)
-    coords = []
-    for a in range(model.dim):
-        if a < model.dim - model.level_dim(i):
-            coords.append(Fraction(0))
-        else:
-            coords.append(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
-    return model.from_coords(coords)
-
-
-def _random_poly(model, rng) -> PolynomialSequence:
-    return PolynomialSequence(
-        model,
-        tuple(_random_level_element(model, rng, i) for i in range(model.degree + 1)),
-    )
-
-
-def _random_lattice_poly(model, rng) -> PolynomialSequence:
-    coeffs = []
+def _random_poly(model, draw) -> PolynomialSequence:
+    """A sequence whose i-th coefficient draws its G_i coordinates from ``draw()``, others 0."""
+    coefficients = []
     for i in range(model.degree + 1):
-        coords = [
-            Fraction(0) if a < model.dim - model.level_dim(i) else Fraction(int(rng.integers(-4, 5)))
-            for a in range(model.dim)
-        ]
-        coeffs.append(model.from_coords(coords))
-    return PolynomialSequence(model, tuple(coeffs))
+        cutoff = model.dim - model.level_dim(i)
+        coefficients.append(
+            model.from_coords([Fraction(0) if a < cutoff else draw() for a in range(model.dim)])
+        )
+    return PolynomialSequence(model, tuple(coefficients))
 
 
-def run_taylor_calculus() -> CriterionReport:
+@_criterion("taylor-calculus")
+def run_taylor_calculus(failures: list) -> dict:
     """Expansion/evaluation identities plus the shifted and lattice-root suites."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(808)
-    failures = []
+
+    def rational() -> Fraction:
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
     models = [heisenberg_lcs(), heisenberg_deg3(), torus(2, 2)]
     for model in models:
         s = model.degree
         for trial in range(100):
-            poly = _random_poly(model, rng)
+            poly = _random_poly(model, rational)
             values = [taylor_eval(poly, n) for n in range(s + 1)]
             back = taylor_expand(model, values)
             if any(
@@ -521,7 +494,7 @@ def run_taylor_calculus() -> CriterionReport:
     # differenced polynomials drop one level: defect coefficients g_j in G_{j+1}
     for trial in range(50):
         model = models[trial % len(models)]
-        poly = _random_poly(model, rng)
+        poly = _random_poly(model, rational)
         q = int(rng.integers(1, 12))
         defect = poly.defect(q)
         for j, c in enumerate(defect.coefficients):
@@ -532,51 +505,27 @@ def run_taylor_calculus() -> CriterionReport:
             elif not model.in_level(c, target_level):
                 failures.append(f"shifted: {model.name} coefficient {j} not in G_{j + 1}")
     # lattice-on-qZ polynomials: g_i^{q^i} is integral through every character
-    prebuilt = {
-        "heisenberg-lcs": build_periodic_irrational(heisenberg_lcs(), 227, 3, seed=3),
-        "torus:m=2,s=2": build_periodic_irrational(torus(2, 2), 37, 2, seed=3),
-    }
-    prebuilt_q = {"heisenberg-lcs": 227, "torus:m=2,s=2": 37}
+    prebuilt = [
+        (227, build_periodic_irrational(heisenberg_lcs(), 227, 3, seed=3)),
+        (37, build_periodic_irrational(torus(2, 2), 37, 2, seed=3)),
+    ]
     for trial in range(50):
-        name = ["heisenberg-lcs", "torus:m=2,s=2"][trial % 2]
-        base = prebuilt[name]
+        q, base = prebuilt[trial % 2]
         model = base.model
-        q = prebuilt_q[name]
-        poly = base.pointwise_product(_random_lattice_poly(model, rng))
+        lattice_poly = _random_poly(model, lambda: Fraction(int(rng.integers(-4, 5))))
+        poly = base.pointwise_product(lattice_poly)
         if not model.in_lattice(taylor_eval(poly, q)):
-            failures.append(f"newton setup: {name} g(q) not in lattice")
+            failures.append(f"newton setup: {model.name} g(q) not in lattice")
             continue
         for i in range(1, model.degree + 1):
             power = poly.coefficients[i] ** (q**i)
             for k in annihilator_lattice(model, i):
-                from .nil import LevelCharacter
-
                 value = LevelCharacter(level=i, frequency=k).value(model, power)
                 if value.denominator != 1:
                     failures.append(
-                        f"newton: {name} level {i} frequency {k} gives {value}"
+                        f"newton: {model.name} level {i} frequency {k} gives {value}"
                     )
-    return _report("taylor-calculus", t0, failures)
-
-
-CRITERIA = {
-    "sol-oracle": run_sol_oracle,
-    "complement-identity": run_complement_identity,
-    "gvn-3ap": run_gvn_3ap,
-    "gvn-4ap": run_gvn_4ap,
-    "gowers-oracle": run_gowers_oracle,
-    "extremal-exact": run_extremal_exact,
-    "weyl-1009": run_weyl_1009,
-    "weyl-10007": run_weyl_10007,
-    "dependent-pair": run_dependent_pair,
-    "rounding-u2": run_rounding_u2,
-    "rounding-u3": run_rounding_u3,
-    "periodic-heisenberg": run_periodic_heisenberg,
-    "periodic-torus": run_periodic_torus,
-    "taylor-factorization": run_taylor_factorization,
-    "kernelize-roundtrip": run_kernelize_roundtrip,
-    "taylor-calculus": run_taylor_calculus,
-}
+    return {}
 
 
 def reproduce(criterion_id: str) -> CriterionReport:

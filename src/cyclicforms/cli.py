@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="directory for JSON/CSV/SVG artifacts")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget-ms", type=int, default=None, dest="budget_ms")
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sol", help="solution measure of a set across a system")
@@ -390,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--min-p1", type=int, default=1, dest="min_p1")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--budget-ms", type=int, dest="budget_ms")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("reproduce", help="re-run an acceptance criterion by id")

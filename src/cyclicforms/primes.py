@@ -52,12 +52,11 @@ def smallest_prime_factor(n: int) -> int:
             return p
     if is_prime(n):
         return n
+    # n is composite with no prime factor below 49, so an odd f <= sqrt(n) divides it
     f = 49
-    while f * f <= n:
-        if n % f == 0:
-            return f
+    while n % f:
         f += 2
-    return n
+    return f
 
 
 def multiplicative_order(a: int, n: int) -> int:

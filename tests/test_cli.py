@@ -1,11 +1,12 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from cyclicforms import harness
-from cyclicforms.cli import main
+from cyclicforms.cli import build_parser, main
 from cyclicforms.counting import CyclicSubset
 from cyclicforms.forms import dilate_pair, four_ap, kernel_system, three_ap
 
@@ -257,9 +258,9 @@ def test_scan_csv_format(capsys, system_file):
     code, out = _run(
         capsys,
         [
+            "scan",
             "--format",
             "csv",
-            "scan",
             "--system",
             system_file,
             "--quantity",
@@ -390,9 +391,9 @@ def test_budget_exhaustion_exit_code(capsys, system_file):
     code, _ = _run(
         capsys,
         [
+            "scan",
             "--budget-ms",
             "0",
-            "scan",
             "--system",
             system_file,
             "--quantity",
@@ -404,6 +405,46 @@ def test_budget_exhaustion_exit_code(capsys, system_file):
         ],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("option", [["--budget-ms", "1"], ["--format", "csv"]])
+@pytest.mark.parametrize("command", ["min-sol", "scan"])
+def test_scan_only_options_are_usage_errors_before_a_command(
+    capsys, system_file, option, command
+):
+    rest = ["--moduli", "5", "--quantity", "m"] if command == "scan" else ["--n", "21"]
+    with pytest.raises(SystemExit) as exc:
+        main([*option, command, "--system", system_file, "--alpha", "2/5", *rest])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def _readme_command_lines():
+    """(line number, tokens) of each ``cyclicforms ...`` line in README's fenced blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    fenced = False
+    for number, line in enumerate(readme.read_text(encoding="utf-8").splitlines(), 1):
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("cyclicforms "):
+            yield number, shlex.split(line)[1:]
+
+
+def test_readme_command_lines_parse():
+    lines = list(_readme_command_lines())
+    assert len(lines) >= 10
+    failing = []
+    for number, tokens in lines:
+        optional = [t for t in tokens if t.startswith("[") and t.endswith("]")]
+        required = [t for t in tokens if t not in optional]
+        # an optional "[--flag]" is tried both left out and given
+        for argv in (required, [t.strip("[]") for t in tokens]):
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                failing.append(f"README.md:{number}: {' '.join(argv)}")
+    assert not failing, failing
 
 
 def test_scan_alpha_out_of_range_is_an_input_error(capsys, system_file):

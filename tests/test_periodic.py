@@ -11,6 +11,7 @@ from cyclicforms.nil import (
     FilteredNilmanifoldModel,
     LevelCharacter,
     PolynomialSequence,
+    UnitriangularElement,
     element_irrational,
     enumerate_characters,
     heisenberg_deg3,
@@ -311,3 +312,67 @@ def test_a_perturbed_orbit_point_fails_the_linearity_proof(monkeypatch):
         vertical_sum(g, 11)
     monkeypatch.undo()
     assert all(character_sum(g, xi, 11) == 0 for xi in enumerate_characters(m, 1, 1))
+
+
+# Each stage invariant of the build is a self-check that must fire when a
+# step it relies on is wrong.
+
+
+def test_qth_root_check_fires_when_no_coordinates_are_admissible(monkeypatch):
+    # the zero frequency turns every t into a rejected one, in the probes and the sweep
+    monkeypatch.setattr(periodic, "_l1_ball", lambda r, bound: [(0,) * r])
+    m = heisenberg_lcs()
+    with pytest.raises(AssertionError, match="no admissible root coordinates"):
+        irrational_qth_root(m, 1, m.identity(), 37, 3, rng=0)
+
+
+def test_qth_root_check_fires_on_a_wrong_root(monkeypatch):
+    # a (q+1)-th root: its q-th power has level-1 coordinates t q / (q+1), t != 0
+    root = UnitriangularElement.root
+    monkeypatch.setattr(UnitriangularElement, "root", lambda self, q: root(self, q + 1))
+    m = heisenberg_lcs()
+    with pytest.raises(AssertionError, match="w\\^q left the level lattice"):
+        irrational_qth_root(m, 1, m.identity(), 37, 3, rng=0)
+
+
+def test_qth_root_check_fires_on_a_failed_irrationality(monkeypatch):
+    monkeypatch.setattr(periodic, "element_irrational", lambda *args: (False, "planted"))
+    m = heisenberg_lcs()
+    with pytest.raises(AssertionError, match="failed irrationality: planted"):
+        irrational_qth_root(m, 1, m.identity(), 37, 3, rng=0)
+
+
+def test_head_split_check_fires_when_the_remainder_leaves_the_level(monkeypatch):
+    def level_one_expansion(model, values):  # a valid sequence, but g_0 is not in G_2
+        rest = (model.identity(),) * (len(values) - 1)
+        return PolynomialSequence(model, (model.from_level_coords(1, [1, 0]), *rest))
+
+    monkeypatch.setattr(periodic, "taylor_expand", level_one_expansion)
+    m = heisenberg_lcs()
+    with pytest.raises(AssertionError, match="remainder coefficient 0 escaped G_2"):
+        periodic._lattice_head_split(PolynomialSequence.identity(m), 2)
+
+
+def test_stage_defect_check_fires_on_a_non_periodic_top_up(monkeypatch):
+    # w^q has level-1 coordinate 1/2, so the stage-1 defect is not integral above level 2
+    def half_root(model, i, h, q, bound, rng):
+        return model.from_level_coords(i, [Fraction(1, 2 * q)] + [0] * (model.block_rank(i) - 1))
+
+    monkeypatch.setattr(periodic, "irrational_qth_root", half_root)
+    with pytest.raises(AssertionError, match="stage 1 failed its defect invariant"):
+        build_periodic_irrational(heisenberg_lcs(), 11, 1, seed=1)
+
+
+def test_stage_irrationality_check_fires_without_the_top_up(monkeypatch):
+    monkeypatch.setattr(periodic, "irrational_qth_root", lambda model, *args: model.identity())
+    with pytest.raises(AssertionError, match="stage 1 lost irrationality at level 1"):
+        build_periodic_irrational(heisenberg_lcs(), 11, 1, seed=1)
+
+
+def test_character_sum_check_fires_on_a_fractional_step(monkeypatch):
+    q = 11
+    start, step = (Fraction(0), Fraction(0)), (Fraction(1, 2 * q), Fraction(0))
+    monkeypatch.setattr(periodic, "_orbit", lambda p, q: ([], [start, step]))
+    m = heisenberg_lcs()
+    with pytest.raises(AssertionError, match="q \\* theta1 integral"):
+        character_sum(PolynomialSequence.identity(m), LevelCharacter(level=1, frequency=(1, 0)), q)
