@@ -444,8 +444,6 @@ def run_kernelize_roundtrip(failures: list) -> dict:
         for n in range(2, 31):
             if math.gcd(n, kp.bad_modulus) != 1:
                 continue
-            if n ** system.t > 2 * 10**6:
-                continue
             image = image_mod_n(system, n)
             if kp.k == 0:
                 kernel = {

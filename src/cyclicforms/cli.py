@@ -240,6 +240,8 @@ def cmd_nil(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.run_seed is not None and args.mode != "heuristic":
+        raise ValueError("--seed applies only with --mode heuristic")
     system = LinearFormSystem.load(args.system)
     moduli = [int(x) for x in args.moduli.split(",") if x.strip()]
     records, csv_text = scan_convergence(
@@ -248,7 +250,7 @@ def cmd_scan(args) -> int:
         args.alpha,
         moduli,
         mode=args.mode,
-        seed=args.seed,
+        seed=args.seed if args.run_seed is None else args.run_seed,
         out_dir=args.out,
         min_prime_factor=args.min_p1,
         budget_ms=args.budget_ms,
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moduli", required=True, help="comma-separated list")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--min-p1", type=int, default=1, dest="min_p1")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, dest="run_seed")
     p.add_argument("--budget-ms", type=int, dest="budget_ms")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_scan)

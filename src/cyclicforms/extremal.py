@@ -683,8 +683,14 @@ def weyl_set(p: int, k: int, d: int) -> CyclicSubset:
     hi = center + delta * p
     if lo <= 0 or hi >= p:
         raise ValueError("interval is degenerate at these parameters")
-    members = [x for x in range(p) if lo <= pow(x, d, p) <= hi]
-    subset = CyclicSubset(p, tuple(members))
+    # the recount below walks p points anyway; p <= 10^9 keeps x^d mod p exact in int64
+    check_budget(f"power-residue table mod {p}", p, DEFAULT_BRUTE_CAP)
+    x = np.arange(p, dtype=np.int64)
+    power = x
+    for _ in range(d - 1):
+        power = power * x % p
+    inside = (power >= math.ceil(lo)) & (power <= math.floor(hi))
+    subset = CyclicSubset(p, tuple(np.flatnonzero(inside).tolist()))
     if sol_count(subset, dilate_pair(k)).count != 0:
         raise AssertionError("power-residue interval set is not dilation-free")
     return subset

@@ -357,22 +357,43 @@ def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):
     """Row-major walk of (Z/n)^d yielding, per chunk of points, each row's form mod n.
 
     Rows may be all zero and d may be 0 (a single point, the empty tuple).
+    Chunks start at multiples of ``chunk``; each yields one int64 array per
+    row.  For d >= 2 no per-point division is left: a grid row (the first
+    d - 1 coordinates fixed) has form values base + tail mod n, where
+    tail[y] = c_last y mod n is a table built once and base is one value
+    per grid row, so a chunk costs one broadcast add and one conditional
+    subtract of n in int32, over the <= chunk/n + 2 grid rows it touches.
+    Memory is O(t (chunk + n)) values.  d <= 1 builds no table of size n.
     """
     total = n**d
-    powers = [n ** (d - 1 - j) for j in range(d)]
+    if d < 2:
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            yield [idx * (row[0] % n) % n if d else np.zeros_like(idx) for row in rows]
+        return
+    t = len(rows)
+    coeffs = np.array([[c % n for c in row] for row in rows], dtype=np.int64)
+    heads = coeffs[:, :-1]
+    # tail - n, so s = base + tail - n lies in [-n, n) and s mod n = s + (n if s < 0);
+    # int32 holds [-n, n) for every n whose n^2 grid points can be walked
+    tails = (coeffs[:, -1:] * np.arange(n, dtype=np.int64) % n - n).astype(np.int32)
+    powers = np.array([n ** (d - 2 - j) for j in range(d - 1)], dtype=np.int64)[:, None]
+    most = min((chunk - 1) // n + 2, n ** (d - 1))  # grid rows one chunk can touch
+    block = np.empty((t, most, n), dtype=np.int32)
+    wrap = np.empty_like(block)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = [(idx // p) % n for p in powers]
-        phis = []
-        for row in rows:
-            acc = None
-            for c, dig in zip(row, digits):
-                if c % n == 0:
-                    continue
-                term = (c % n) * dig
-                acc = term if acc is None else acc + term
-            phis.append(np.zeros_like(idx) if acc is None else acc % n)
-        yield phis
+        stop = min(start + chunk, total)
+        first, lo = divmod(start, n)
+        prefix = np.arange(first, (stop - 1) // n + 1, dtype=np.int64)
+        bases = (heads @ (prefix // powers % n) % n).astype(np.int32)
+        rows_k, wrap_k = block[:, : len(prefix)], wrap[:, : len(prefix)]
+        np.add(bases[:, :, None], tails[:, None, :], out=rows_k)
+        np.right_shift(rows_k, 31, out=wrap_k)
+        np.bitwise_and(wrap_k, n, out=wrap_k)
+        cut = slice(lo, lo + stop - start)
+        phis = np.empty((t, stop - start), dtype=np.int64)
+        np.add(rows_k.reshape(t, -1)[:, cut], wrap_k.reshape(t, -1)[:, cut], out=phis)
+        yield list(phis)
 
 
 def image_mod_n(system: LinearFormSystem, n: int) -> set[tuple[int, ...]]:

@@ -40,15 +40,16 @@ class ScanRecord:
     quantity: str  # "m" | "M" | "d"
     value: float | None
     method: str
-    seed: int
+    seed: int | None  # None, written empty, in exact mode, which reads no seed
     elapsed_ms: float
     reason: str | None = None  # why a row was skipped: "prime-floor", "time" or "budget"
 
     def csv_row(self) -> str:
         value = "" if self.value is None else repr(float(self.value))
+        seed = "" if self.seed is None else self.seed
         return (
             f"{self.n},{int(self.is_prime)},{self.smallest_prime_factor},"
-            f"{self.quantity},{value},{self.method},{self.seed},{self.elapsed_ms:.3f}"
+            f"{self.quantity},{value},{self.method},{seed},{self.elapsed_ms:.3f}"
         )
 
 
@@ -93,8 +94,9 @@ def scan_convergence(
     ``budget_ms`` (reason "time"), or when its computation raises
     BudgetExceeded (reason "budget").  Any other error propagates.  An
     unknown quantity or mode, or an alpha outside [0, 1] for m or M,
-    raises ValueError before the first modulus is run.  With ``out_dir``
-    the CSV and SVG artifacts are written there.
+    raises ValueError before the first modulus is run.  The seed column
+    is empty in exact mode, which reads no seed.  With ``out_dir`` the CSV
+    and SVG artifacts are written there.
     """
     if quantity not in ("m", "M", "d"):
         raise ValueError(f"unknown quantity {quantity!r}; use m, M, or d")
@@ -103,6 +105,7 @@ def scan_convergence(
     if quantity in ("m", "M"):
         check_alpha(alpha)
     records: list[ScanRecord] = []
+    row_seed = seed if mode == "heuristic" else None
     scan_start = time.perf_counter()
     for n in sorted(moduli):
         t0 = time.perf_counter()
@@ -123,7 +126,7 @@ def scan_convergence(
         else:
             value, method = float(result.value), result.method
         records.append(
-            ScanRecord(n, is_prime(n), p1, quantity, value, method, seed, elapsed, reason)
+            ScanRecord(n, is_prime(n), p1, quantity, value, method, row_seed, elapsed, reason)
         )
     csv_text = "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
     if out_dir is not None:

@@ -28,6 +28,7 @@ from cyclicforms.extremal import (
     max_sol_exact,
     min_sol_exact,
     min_sol_heuristic,
+    weyl_set,
 )
 from cyclicforms.forms import (
     BudgetExceeded,
@@ -87,6 +88,7 @@ CAPS = [
         False,
         id="nodes",
     ),
+    pytest.param(lambda: weyl_set(10**9 + 7, 2, 2), True, id="weyl-residues"),
     pytest.param(lambda: gowers_norm(HALF_1001, 4), True, id="gowers-u4"),
     pytest.param(lambda: gowers_norm_definitional(HALF_101, 3), True, id="gowers-definitional"),
     pytest.param(

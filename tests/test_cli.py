@@ -364,6 +364,10 @@ def test_prime_q_at_most_the_degree_is_an_input_error(capsys, model, q):
         (["max-free", "--seed", "3", "--n", "7"], "--seed applies only with --heuristic"),
         (["max-free", "--exact", "--seed", "3", "--n", "7"],
          "--seed applies only with --heuristic"),
+        (["scan", "--seed", "3", "--quantity", "m", "--moduli", "5"],
+         "--seed applies only with --mode heuristic"),
+        (["scan", "--mode", "exact", "--seed", "3", "--quantity", "m", "--moduli", "5"],
+         "--seed applies only with --mode heuristic"),
     ],
 )
 def test_extremal_bad_size_or_budget_is_an_input_error(capsys, system_file, argv, message):
@@ -385,6 +389,21 @@ def test_heuristic_flags_keep_their_defaults_and_precedence(capsys, system_file)
     # the global --seed is accepted, and unused, by the exact solvers
     code, _ = _run(capsys, ["--seed", "3", "min-sol", *argv[1:-1], "--exact"])
     assert code == 0
+
+
+def test_exact_scan_rows_carry_no_seed(capsys, system_file):
+    def csv(*argv):
+        code, out = _run(capsys, [*argv, "--format", "csv", "--moduli", "5,7", "--quantity", "m"])
+        assert code == 0
+        return [row.rsplit(",", 1)[0] for row in out.splitlines()]  # drop elapsedMs
+
+    scan = ["scan", "--system", system_file, "--alpha", "2/5"]
+    exact = csv("--seed", "5", *scan)
+    assert exact == csv("--seed", "6", *scan)
+    assert [row.rsplit(",", 1)[1] for row in exact[1:]] == ["", ""]
+    heuristic = csv("--seed", "6", *scan, "--mode", "heuristic")
+    assert heuristic == csv(*scan, "--mode", "heuristic", "--seed", "6")
+    assert [row.rsplit(",", 1)[1] for row in heuristic[1:]] == ["6", "6"]
 
 
 def test_budget_exhaustion_exit_code(capsys, system_file):
@@ -530,9 +549,9 @@ def test_scan_prime_floor_skips_exit_0(capsys, system_file):
     code, rows, skipped = _scan_json(capsys, system_file, "--moduli", "5,6,7", "--min-p1", "3")
     assert code == 0
     assert rows == [
-        "5,1,5,m,0.08,exact,0",
-        "6,0,2,m,,skipped,0",
-        "7,1,7,m,0.061224489795918366,exact,0",
+        "5,1,5,m,0.08,exact,",
+        "6,0,2,m,,skipped,",
+        "7,1,7,m,0.061224489795918366,exact,",
     ]
     assert skipped == [6]
 
@@ -540,7 +559,7 @@ def test_scan_prime_floor_skips_exit_0(capsys, system_file):
 def test_scan_oversized_modulus_exits_2_with_the_same_rows(capsys, system_file):
     code, rows, skipped = _scan_json(capsys, system_file, "--moduli", "5,23")
     assert code == 2
-    assert rows == ["5,1,5,m,0.08,exact,0", "23,1,23,m,,skipped,0"]
+    assert rows == ["5,1,5,m,0.08,exact,", "23,1,23,m,,skipped,"]
     assert skipped == [23]
 
 

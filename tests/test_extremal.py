@@ -734,6 +734,14 @@ def test_weyl_set_contract():
         weyl_set(13, 2, 4)  # interval degenerates
 
 
+@pytest.mark.parametrize("p, k, d", [(1009, 2, 2), (10007, 2, 3), (2003, 3, 2), (100003, 2, 4)])
+def test_weyl_set_members_match_the_definition(p, k, d):
+    delta = Fraction(1, 4 * k ** (2 * d))
+    lo, hi = p // k**d - delta * p, p // k**d + delta * p
+    want = tuple(x for x in range(p) if lo <= pow(x, d, p) <= hi)
+    assert weyl_set(p, k, d).members == want
+
+
 def test_multiplicative_free_set_examples():
     a7 = multiplicative_free_set(2, 7)
     assert a7.density == Fraction(2, 7)

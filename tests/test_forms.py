@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclicforms import forms
+from cyclicforms.counting import CyclicFunction, sol_brute
 from cyclicforms.forms import (
     BudgetExceeded,
     LinearFormSystem,
@@ -252,6 +253,59 @@ def test_configurations_walk_the_grid_in_product_order(rows, n, chunk):
     assert len(chunks) == -(-(n**d) // chunk)
     got = [tuple(int(v) for v in col) for phis in chunks for col in zip(*phis)]
     assert got == [system.evaluate(p, n) for p in product(range(n), repeat=d)]
+
+
+def _reference_walk(rows, d, n, chunk):
+    """The arithmetic walk: every digit by // and %, every form reduced by %."""
+    total = n**d
+    powers = [n ** (d - 1 - j) for j in range(d)]
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = [(idx // p) % n for p in powers]
+        phis = []
+        for row in rows:
+            acc = None
+            for c, dig in zip(row, digits):
+                if c % n == 0:
+                    continue
+                term = (c % n) * dig
+                acc = term if acc is None else acc + term
+            phis.append(np.zeros_like(idx) if acc is None else acc % n)
+        yield phis
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-40, 40), min_size=d, max_size=d), min_size=1, max_size=4
+        ).map(lambda rows: (d, rows))
+    ),
+    st.integers(1, 12),
+    st.one_of(st.integers(1, 40), st.integers(1729, 3000)),
+)
+@example((2, [[0, 0], [1, 1]]), 5, 40)  # an all-zero row; one chunk past n^d
+@example((0, [[]]), 3, 1)  # d = 0: a single point
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_the_arithmetic_walk(d_rows, n, chunk):
+    d, rows = d_rows
+    got = list(forms._walk(rows, d, n, chunk))
+    want = list(_reference_walk(rows, d, n, chunk))
+    assert len(got) == len(want)
+    for i, (phis, ref) in enumerate(zip(got, want)):
+        assert len(phis) == len(rows)
+        size = min(chunk, n**d - i * chunk)
+        for phi, ref_phi in zip(phis, ref):
+            assert phi.dtype == np.int64 and phi.shape == (size,)
+            assert np.array_equal(phi, ref_phi)
+
+
+def test_sol_brute_sums_the_same_chunks_as_the_arithmetic_walk(monkeypatch):
+    # float sums depend on the chunk boundaries, so the value must be equal, not close
+    n = 1009  # 1,018,081 points: 32 chunks, where a boundary moved by one changes the sum
+    f = CyclicFunction(n, np.random.default_rng(7).random(n))
+    fast = sol_brute([f] * 3, three_ap()).value
+    monkeypatch.setattr(forms, "_walk", _reference_walk)
+    assert fast == sol_brute([f] * 3, three_ap()).value
 
 
 def test_configurations_reject_before_walking():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,44 @@ def test_gvn_preconditions():
     g = CyclicFunction(13, np.full(13, 0.5))
     with pytest.raises(ValueError):
         gvn_check(g, g, dilate_pair(2), 1)  # not pairwise independent
+
+
+_HALF = CyclicFunction.constant(0.5, 13)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gowers_norm(_HALF, 0), "d must be at least 1"),
+        (lambda: gowers_norm_definitional(_HALF, 0), "d must be at least 1"),
+        (lambda: gvn_check(_HALF, _HALF, three_ap(), 0), "s must be positive"),
+        (
+            lambda: gvn_check(_HALF, CyclicFunction.constant(0.5, 11), three_ap(), 1),
+            "moduli differ",
+        ),
+        (
+            lambda: gvn_check(*[CyclicFunction.constant(0.5, 15)] * 2, three_ap(), 1, 5),
+            "smallest prime factor of 15 is below 5",
+        ),
+        (
+            lambda: random_round(CyclicFunction.constant(-0.5, 13), seed=0),
+            "random rounding needs real values in [0, 1]",
+        ),
+    ],
+    ids=["norm-d", "definitional-d", "gvn-s", "gvn-moduli", "gvn-prime-floor", "round-range"],
+)
+def test_input_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_definitional_realness_check_fires(monkeypatch):
+    # shifted values times i break the conjugate pairing, so the average is not real
+    roll = np.roll
+    monkeypatch.setattr(np, "roll", lambda values, shift: 1j * roll(values, shift))
+    f = CyclicFunction(7, np.full(7, 0.5 + 0.5j))
+    with pytest.raises(AssertionError, match="definitional average should be real"):
+        gowers_norm_definitional(f, 1)
 
 
 def test_random_round_edges_and_determinism():
