@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,10 +122,10 @@ class CyclicSubset:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        mem = tuple(int(x) for x in self.members)
-        if any(x < 0 or x >= self.modulus for x in mem):
+        mem = tuple(map(int, self.members))
+        if mem and (min(mem) < 0 or max(mem) >= self.modulus):
             raise ValueError("members must lie in [0, N)")
-        if any(a >= b for a, b in zip(mem, mem[1:])):
+        if not all(map(operator.lt, mem, mem[1:])):
             raise ValueError("members must be strictly increasing")
         object.__setattr__(self, "members", mem)
 

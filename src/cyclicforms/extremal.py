@@ -32,7 +32,6 @@ from .counting import (
     DEFAULT_BRUTE_CAP,
     CyclicSubset,
     as_fraction,
-    has_configuration,
     sol_count,
 )
 from .forms import (
@@ -43,7 +42,7 @@ from .forms import (
     image_mod_n,
     is_invariant,
 )
-from .primes import is_prime, multiplicative_order
+from .primes import is_prime, multiplicative_order, primitive_root
 
 
 @dataclass(frozen=True)
@@ -713,16 +712,32 @@ def multiplicative_free_set(k: int, p: int) -> CyclicSubset:
     if k_mod in (0, 1):
         raise ValueError("k must not be 0 or 1 mod p")
     if k_mod == p - 1:
-        members = tuple(range(1, (p - 1) // 2 + 1))
-        subset = CyclicSubset(p, members)
+        members = range(1, (p - 1) // 2 + 1)
     else:
-        order, cycles = _dilation_cycles(k_mod, p)
-        exponents = [2 * j % order for j in range(1, order // 2 + 1)]
-        chosen: list[int] = []
-        for cyc in cycles:
-            # cyc[j] = x k^j; even powers of k inside the coset
-            chosen.extend(cyc[e] for e in set(exponents))
-        subset = CyclicSubset.from_iterable(p, chosen)
+        # Walking x = 1, 2, ... starts one dilation cycle in each coset c<k>
+        # of the units, at its least member c, and keeps c k^e for the even
+        # exponents e = 2j mod ord(k).  With logs to a primitive root and
+        # m = (p - 1) / ord(k) cosets, x lies in the coset log x mod m and
+        # is c k^e for e = (log x - log c) / m * (log k / m)^{-1} mod ord(k).
+        # p <= 10^9 keeps every product below exact in int64.
+        check_budget(f"discrete-log table mod {p}", p, DEFAULT_BRUTE_CAP)
+        g = primitive_root(p)
+        powers = np.ones(1, dtype=np.int64)  # g^i mod p, i < p - 1
+        while len(powers) < p - 1:
+            powers = np.concatenate([powers, powers * pow(g, len(powers), p) % p])
+        logs = np.empty(p - 1, dtype=np.int64)  # logs[x - 1] = log x
+        logs[powers[: p - 1] - 1] = np.arange(p - 1)
+        m = math.gcd(int(logs[k_mod - 1]), p - 1)
+        order = (p - 1) // m
+        classes = logs % m
+        first = np.full(m, p - 1)  # index of c, per class
+        np.minimum.at(first, classes, np.arange(p - 1))
+        steps = (logs - logs[first][classes]) % (p - 1) // m
+        exps = steps * pow(int(logs[k_mod - 1]) // m, -1, order) % order
+        even = np.zeros(order, dtype=bool)
+        even[2 * np.arange(1, order // 2 + 1) % order] = True
+        members = (np.flatnonzero(even[exps]) + 1).tolist()
+    subset = CyclicSubset(p, tuple(members))
     if sol_count(subset, dilate_pair(k)).count != 0:
         raise AssertionError("multiplicative construction is not dilation-free")
     return subset
@@ -776,7 +791,7 @@ def interval_free_set(system: LinearFormSystem, n: int) -> ExtremalResult | None
         return None
     lo, hi = int(los[free[0]]), int(his[free[0]])
     subset = CyclicSubset(n, tuple(range(lo, hi)))
-    if has_configuration(subset, system) or sol_count(subset, system).count != 0:
+    if sol_count(subset, system).count != 0:
         raise AssertionError("freeness table and recount disagree")
     return ExtremalResult(
         subset.density,

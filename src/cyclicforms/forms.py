@@ -362,7 +362,8 @@ def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):
     d - 1 coordinates fixed) has form values base + tail mod n, where
     tail[y] = c_last y mod n is a table built once and base is one value
     per grid row, so a chunk costs one broadcast add and one conditional
-    subtract of n in int32, over the <= chunk/n + 2 grid rows it touches.
+    subtract of n in int32, over the <= chunk/n + 2 grid rows it touches,
+    or over its own points when it lies inside one grid row.
     Memory is O(t (chunk + n)) values.  d <= 1 builds no table of size n.
     """
     total = n**d
@@ -386,13 +387,20 @@ def _walk(rows: Sequence[Sequence[int]], d: int, n: int, chunk: int):
         first, lo = divmod(start, n)
         prefix = np.arange(first, (stop - 1) // n + 1, dtype=np.int64)
         bases = (heads @ (prefix // powers % n) % n).astype(np.int32)
-        rows_k, wrap_k = block[:, : len(prefix)], wrap[:, : len(prefix)]
-        np.add(bases[:, :, None], tails[:, None, :], out=rows_k)
-        np.right_shift(rows_k, 31, out=wrap_k)
-        np.bitwise_and(wrap_k, n, out=wrap_k)
-        cut = slice(lo, lo + stop - start)
+        if len(prefix) == 1:  # inside one grid row: fill only the chunk's points
+            sums = block.reshape(t, -1)[:, : stop - start]
+            np.add(bases, tails[:, lo : lo + stop - start], out=sums)
+            cut = slice(0, stop - start)
+        else:
+            sums = block[:, : len(prefix)]
+            np.add(bases[:, :, None], tails[:, None, :], out=sums)
+            sums = sums.reshape(t, -1)
+            cut = slice(lo, lo + stop - start)
+        wraps = wrap.reshape(t, -1)[:, : sums.shape[1]]
+        np.right_shift(sums, 31, out=wraps)
+        np.bitwise_and(wraps, n, out=wraps)
         phis = np.empty((t, stop - start), dtype=np.int64)
-        np.add(rows_k.reshape(t, -1)[:, cut], wrap_k.reshape(t, -1)[:, cut], out=phis)
+        np.add(sums[:, cut], wraps[:, cut], out=phis)
         yield list(phis)
 
 

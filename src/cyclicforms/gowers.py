@@ -15,12 +15,25 @@ holds for complex f too.  At U^3 the shifted rows f(. + h) conj(f) are
 formed in blocks of about ``_BLOCK`` elements, so memory is O(block + N)
 and no N x N array is ever built.
 
+Threading contract: ``gowers_norm`` runs the outermost level of the
+recursion on every CPU of the process's affinity mask (``taskset``
+restricts it), through one thread pool per process, made on first use.
+At U^3 the threads split each block's rows and fill their slices of one
+block of buffers, so one block is in flight; at U^4 and above each thread
+takes a run of shifts h and recurses serially in a block of its own.
+Every row and every h term is computed alone and the sums run in a fixed
+order, so the result is the same float for any number of CPUs.  Small
+levels (N^{d-1} < ``_SPLIT_POINTS`` or N < ``_SPLIT_N``) stay on the
+calling thread.
+
 Randomness contract: every seeded operation uses numpy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so results replay across platforms.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +45,22 @@ from .primes import is_prime, smallest_prime_factor
 DEFAULT_BUDGET = 5 * 10**8  # N^{d-1} points for U^d, d >= 3, in ``gowers_norm``
 DEFINITIONAL_CAP = 10**8  # N^{d+1} grid points in ``gowers_norm_definitional``
 _BLOCK = 1 << 18  # elements of shifted rows per U^3 block: 64 rows at N = 4093
+# a level splits across threads only at N^{d-1} >= _SPLIT_POINTS and N >= _SPLIT_N:
+# below, the thread hand-off and the interpreter lock cost more than a core saves
+_SPLIT_POINTS = 1 << 17
+_SPLIT_N = 170
 
 
-def _u2_fourth_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise ||.||_{U^2}^4 for a matrix of functions."""
+def _u2_fourth_rows(rows: np.ndarray, spec=None, mags=None) -> np.ndarray:
+    """Row-wise ||.||_{U^2}^4 for a matrix of functions.
+
+    ``spec`` and ``mags``, when given, receive the row spectra and their
+    magnitudes, so a caller can hand each worker its slice of one buffer.
+    """
     n = rows.shape[1]
     if np.isrealobj(rows):
-        spec = np.fft.rfft(rows, axis=1)
-        mags = np.abs(spec)
+        spec = np.fft.rfft(rows, axis=1, out=spec)
+        mags = np.abs(spec, out=mags)
         mags **= 2
         mags **= 2
         totals = mags[:, 0].copy()
@@ -49,8 +70,8 @@ def _u2_fourth_rows(rows: np.ndarray) -> np.ndarray:
         else:
             totals += 2 * mags[:, 1:].sum(axis=1)
     else:
-        spec = np.fft.fft(rows, axis=1)
-        mags = np.abs(spec)
+        spec = np.fft.fft(rows, axis=1, out=spec)
+        mags = np.abs(spec, out=mags)
         mags **= 2
         mags **= 2
         totals = mags.sum(axis=1)
@@ -66,30 +87,97 @@ def _half_shift_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _power_mean(values: np.ndarray, d: int) -> float:
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (pid, ThreadPoolExecutor), made on the first parallel call
+
+
+def _map(fn, items: list) -> list:
+    """[fn(item) for item in items], on the module's thread pool when there are several.
+
+    The pool belongs to the process that made it: a forked child, which has
+    none of its parent's threads, makes its own.
+    """
+    if len(items) == 1:
+        return [fn(items[0])]
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(len(items), thread_name_prefix="gowers"))
+        pool = _pool[1]
+    return list(pool.map(fn, items))
+
+
+def _split(count: int, workers: int) -> list[slice]:
+    """At most ``workers`` runs of near-equal length that cover 0..count-1 in order."""
+    parts = min(workers, count)
+    edges = [count * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _u3_buffers(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Products, spectra and spectral magnitudes for one U^3 block of shifted rows."""
+    prod = np.empty((min(max(1, _BLOCK // n), n // 2 + 1), n), dtype=dtype)
+    spec = np.empty((len(prod), n // 2 + 1 if np.isrealobj(prod) else n), dtype=complex)
+    return prod, spec, np.empty(spec.shape)
+
+
+def _power_mean(values: np.ndarray, d: int, workers: int = 1, buffers=None) -> float:
     """E_{h tuples} ||Delta_{h_1..h_{d-2}} f||_{U^2}^4  =  ||f||_{U^d}^{2^d}.
 
     ``values`` is a real array when f is real-valued, complex otherwise.
+    The outermost level runs on up to ``workers`` threads; ``buffers`` is
+    a caller's ``_u3_buffers`` block for the U^3 level to reuse.
     """
     n = len(values)
     if d == 2:
         return float(_u2_fourth_rows(values[None, :])[0])
     check_budget(f"U^{d} at N={n} ({n}^{d - 1} points)", n ** (d - 1), DEFAULT_BUDGET)
+    if n ** (d - 1) < _SPLIT_POINTS or n < _SPLIT_N:
+        workers = 1
     weights = _half_shift_weights(n)
     conj = np.conj(values)
     total = 0.0
     if d == 3:
+        prod, spec, mags = buffers or _u3_buffers(n, conj.dtype)
         # row h of the view is x -> f(x + h), for h = 0..n//2
         shifts = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([values, values[: n // 2]]), n
         )
-        step = max(1, _BLOCK // n)
-        for start in range(0, len(weights), step):
-            block = shifts[start : start + step] * conj
-            total += float(weights[start : start + step] @ _u2_fourth_rows(block))
+
+        def rows(part: tuple[np.ndarray, slice]) -> np.ndarray:
+            shifted, cut = part
+            np.multiply(shifted, conj, out=prod[cut])
+            return _u2_fourth_rows(prod[cut], spec[cut], mags[cut])
+
+        for start in range(0, len(weights), len(prod)):
+            block = shifts[start : start + len(prod)]
+            parts = [(block[cut], cut) for cut in _split(len(block), workers)]
+            totals = np.concatenate(_map(rows, parts))
+            total += float(weights[start : start + len(prod)] @ totals)
         return total / n
-    for h, weight in enumerate(weights.tolist()):
-        total += weight * _power_mean(np.roll(values, -h) * conj, d - 1)
+
+    # each worker takes a run of h terms and recurses serially in its own
+    # block of buffers, so no task waits on the pool; terms add in h order
+    def terms(cut: slice) -> list[float]:
+        own = buffers or _u3_buffers(n, conj.dtype)
+        return [
+            _power_mean(np.roll(values, -h) * conj, d - 1, buffers=own)
+            for h in range(cut.start, cut.stop)
+        ]
+
+    runs = _map(terms, _split(len(weights), workers))
+    for weight, term in zip(weights.tolist(), [term for run in runs for term in run]):
+        total += weight * term
     return total / n
 
 
@@ -105,7 +193,7 @@ def gowers_norm(f: CyclicFunction, d: int) -> float:
     values = np.asarray(f.values)
     if not values.imag.any():
         values = values.real
-    power = _power_mean(values, d)
+    power = _power_mean(values, d, _cpu_count())
     return max(power, 0.0) ** (1.0 / (1 << d))
 
 

@@ -72,3 +72,17 @@ def multiplicative_order(a: int, n: int) -> int:
         x = x * a % n
         k += 1
     return k
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^x for a prime p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    factors = []
+    rest = p - 1
+    while rest > 1:
+        q = smallest_prime_factor(rest)
+        factors.append(q)
+        while rest % q == 0:
+            rest //= q
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))

@@ -28,6 +28,7 @@ from cyclicforms.extremal import (
     max_sol_exact,
     min_sol_exact,
     min_sol_heuristic,
+    multiplicative_free_set,
     weyl_set,
 )
 from cyclicforms.forms import (
@@ -89,6 +90,7 @@ CAPS = [
         id="nodes",
     ),
     pytest.param(lambda: weyl_set(10**9 + 7, 2, 2), True, id="weyl-residues"),
+    pytest.param(lambda: multiplicative_free_set(2, 10**9 + 7), True, id="multiplicative-logs"),
     pytest.param(lambda: gowers_norm(HALF_1001, 4), True, id="gowers-u4"),
     pytest.param(lambda: gowers_norm_definitional(HALF_101, 3), True, id="gowers-definitional"),
     pytest.param(

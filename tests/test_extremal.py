@@ -756,6 +756,41 @@ def test_multiplicative_free_set_examples():
         multiplicative_free_set(1, 7)
 
 
+def _multiplicative_members_by_cycle_walk(k, p):
+    """Reference: x = 1, 2, ... each start the next unseen dilation cycle, and
+    each cycle keeps the members at its even exponents 2j mod ord(k)."""
+    k_mod = k % p
+    if k_mod == p - 1:
+        return tuple(range(1, (p - 1) // 2 + 1))
+    seen = [False] * p
+    cycles = []
+    for x in range(1, p):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = x * k_mod % p
+        if cycle:
+            cycles.append(cycle)
+    order = len(cycles[0])
+    exponents = {2 * j % order for j in range(1, order // 2 + 1)}
+    return tuple(sorted(cycle[e] for cycle in cycles for e in exponents))
+
+
+def test_multiplicative_free_set_matches_the_cycle_walk():
+    cases = [
+        (k, p)
+        for p in range(2, 3000)
+        if is_prime(p)
+        for k in (2, 3, 5, -2, p - 2)
+        if k % p not in (0, 1)
+    ]
+    cases += [(k, p) for p in (10007, 50021, 99991) for k in (2, 3)]
+    for k, p in cases:
+        want = _multiplicative_members_by_cycle_walk(k, p)
+        assert multiplicative_free_set(k, p).members == want, (k, p)
+
+
 def test_interval_free_set():
     system = kernel_system((1, 1, -3))
     result = interval_free_set(system, 101)

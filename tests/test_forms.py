@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -297,6 +297,26 @@ def test_walk_matches_the_arithmetic_walk(d_rows, n, chunk):
         for phi, ref_phi in zip(phis, ref):
             assert phi.dtype == np.int64 and phi.shape == (size,)
             assert np.array_equal(phi, ref_phi)
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(2, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.lists(st.integers(-700, 700), min_size=4, max_size=4),
+)
+@example(3, (17, 5), [1, -2, 5, 17])  # all 983 chunks: every first-digit change
+@example(2, (600, 1), [3, 0, 599, 1])  # one point per chunk
+@settings(max_examples=50, deadline=None)
+def test_walk_with_chunks_shorter_than_a_grid_row_matches_the_arithmetic_walk(d, n_chunk, coeffs):
+    # a chunk inside one grid row fills only its own points; the first 1,000
+    # chunks cover row boundaries and, for the longer chunks, the whole grid
+    n, chunk = n_chunk
+    rows = [coeffs[:d], coeffs[-d:]]
+    got = islice(forms._walk(rows, d, n, chunk), 1000)
+    want = islice(_reference_walk(rows, d, n, chunk), 1000)
+    for phis, ref in zip(got, want, strict=True):
+        for phi, ref_phi in zip(phis, ref):
+            assert phi.dtype == np.int64 and np.array_equal(phi, ref_phi)
 
 
 def test_sol_brute_sums_the_same_chunks_as_the_arithmetic_walk(monkeypatch):

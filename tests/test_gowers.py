@@ -1,5 +1,9 @@
+import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +106,90 @@ def test_u3_memory_is_bounded_by_the_block(is_complex):
     # one N x N complex shift matrix alone would be 256 MiB here
     f = _drawn_function(4093, is_complex, 5)
     assert _peak_bytes(lambda: gowers_norm(f, 3)) < 16 << 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 257, 1061])
+def test_norm_bits_do_not_depend_on_the_worker_count(n):
+    # each row's U^2 value and each h term is computed alone and summed in a
+    # fixed order, so the float is the same for every split; U^4 at N = 1061
+    # is over the budget
+    cases = [(d, is_complex) for d in (3, 4) for is_complex in (False, True) if n < 1061 or d == 3]
+    fs = {is_complex: _drawn_function(n, is_complex, n) for is_complex in (False, True)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gowers, "_cpu_count", lambda: 1)
+        serial = [gowers_norm(fs[c], d).hex() for d, c in cases]
+    for workers in (2, 3, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gowers, "_cpu_count", lambda: workers)
+            mp.setattr(gowers, "_SPLIT_POINTS", 0)  # split every level, down to N = 1
+            mp.setattr(gowers, "_SPLIT_N", 0)
+            assert [gowers_norm(fs[c], d).hex() for d, c in cases] == serial, workers
+
+
+def test_cpu_count_falls_back_where_there_is_no_affinity_mask(monkeypatch):
+    monkeypatch.delattr(gowers.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(gowers.os, "cpu_count", lambda: None)
+    assert gowers._cpu_count() == 1
+    monkeypatch.setattr(gowers.os, "cpu_count", lambda: 3)
+    assert gowers._cpu_count() == 3
+
+
+def _u3_in_child(f, results):
+    results.put(gowers_norm(f, 3).hex())
+
+
+def test_forked_child_makes_its_own_pool():
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("fork is unavailable on this platform")
+    f = _drawn_function(401, False, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gowers, "_cpu_count", lambda: 2)
+        want = gowers_norm(f, 3).hex()  # the parent's pool now exists
+        assert gowers._pool is not None
+        results = ctx.Queue()
+        child = ctx.Process(target=_u3_in_child, args=(f, results))
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            got = results.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+    assert got == want
+    assert child.exitcode == 0
+
+
+def test_concurrent_callers_get_the_serial_answers():
+    fs = [_drawn_function(n, is_complex, n) for n in (401, 173) for is_complex in (False, True)]
+    calls = [(f, d) for f in fs for d in ((3, 4) if f.modulus < 200 else (3,))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gowers, "_cpu_count", lambda: 1)
+        want = [gowers_norm(f, d).hex() for f, d in calls]
+    results = {}
+
+    def caller(i):
+        results[i] = [gowers_norm(f, d).hex() for f, d in calls]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gowers, "_cpu_count", lambda: 3)
+            mp.setattr(gowers, "_pool", None)  # callers race to make the pool
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {i: want for i in range(4)}
 
 
 def test_budget_checked_before_allocating():

@@ -11,7 +11,12 @@ from cyclicforms.harness import (
     render_svg,
     scan_convergence,
 )
-from cyclicforms.primes import is_prime, multiplicative_order, smallest_prime_factor
+from cyclicforms.primes import (
+    is_prime,
+    multiplicative_order,
+    primitive_root,
+    smallest_prime_factor,
+)
 
 
 def test_primes_basics():
@@ -27,6 +32,16 @@ def test_primes_basics():
     assert multiplicative_order(2, 101) == 100
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)
+
+
+def test_primitive_root_is_the_least_generator():
+    for p in filter(is_prime, range(2, 600)):
+        g = primitive_root(p)
+        assert multiplicative_order(g, p) == p - 1
+        assert all(multiplicative_order(h, p) < p - 1 for h in range(1, g))
+    assert primitive_root(99991) == 6
+    with pytest.raises(ValueError, match="91 is not prime"):
+        primitive_root(91)
 
 
 def test_scan_exact_min_sol(tmp_path):
