@@ -112,6 +112,9 @@ class CyclicFunction:
         return np.fft.fft(self.values) / self.modulus
 
 
+_BULK_MEMBERS = 64  # member lists from this length are checked in one numpy pass
+
+
 @dataclass(frozen=True)
 class CyclicSubset:
     """A subset of Z/N as a strictly increasing member list."""
@@ -122,10 +125,25 @@ class CyclicSubset:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        mem = tuple(map(int, self.members))
-        if mem and (min(mem) < 0 or max(mem) >= self.modulus):
+        mem = tuple(self.members)
+        values = None
+        if len(mem) >= _BULK_MEMBERS:
+            try:
+                values = np.fromiter(mem, dtype=np.int64, count=len(mem))
+            except (TypeError, ValueError, OverflowError):
+                pass  # not int64: the per-member checks below raise, or pass, as they always did
+        if values is None:
+            mem = tuple(map(int, mem))
+            outside = bool(mem) and (min(mem) < 0 or max(mem) >= self.modulus)
+            increasing = all(map(operator.lt, mem, mem[1:]))
+        else:
+            if set(map(type, mem)) != {int}:
+                mem = tuple(values.tolist())  # what int() makes of numpy ints, bools, ...
+            outside = int(values.min()) < 0 or int(values.max()) >= self.modulus
+            increasing = bool((values[1:] > values[:-1]).all())
+        if outside:
             raise ValueError("members must lie in [0, N)")
-        if not all(map(operator.lt, mem, mem[1:])):
+        if not increasing:
             raise ValueError("members must be strictly increasing")
         object.__setattr__(self, "members", mem)
 

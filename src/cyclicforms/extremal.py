@@ -42,7 +42,7 @@ from .forms import (
     image_mod_n,
     is_invariant,
 )
-from .primes import is_prime, multiplicative_order, primitive_root
+from .primes import is_prime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -533,23 +533,47 @@ def max_free_density_heuristic(
 # the dependent pair (x, kx)
 
 
-def _dilation_cycles(k: int, p: int) -> tuple[int, list[list[int]]]:
-    """Orbits of x -> kx on (Z/p)^x; all share length ord_p(k)."""
-    order = multiplicative_order(k, p)
-    seen = [False] * p
-    cycles = []
-    for x in range(1, p):
-        if seen[x]:
-            continue
-        cyc = []
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            cyc.append(y)
-            y = y * k % p
-        cycles.append(cyc)
-    assert all(len(c) == order for c in cycles)
-    return order, cycles
+def _discrete_logs(p: int) -> np.ndarray:
+    """logs[x - 1] = log x to the least primitive root of the prime p, for x = 1..p-1.
+
+    p <= 10^9 keeps every product below exact in int64.
+    """
+    check_budget(f"discrete-log table mod {p}", p, DEFAULT_BRUTE_CAP)
+    g = primitive_root(p)
+    powers = np.ones(1, dtype=np.int64)  # g^i mod p, i < p - 1
+    while len(powers) < p - 1:
+        powers = np.concatenate([powers, powers * pow(g, len(powers), p) % p])
+    logs = np.empty(p - 1, dtype=np.int64)
+    logs[powers[: p - 1] - 1] = np.arange(p - 1)
+    return logs
+
+
+def _dilation_cycles(k: int, p: int) -> np.ndarray:
+    """Orbits of x -> kx on (Z/p)^x, one row each, all of length ord_p(k).
+
+    Row i is c_i k^e for e = 0, 1, ..., where c_0 < c_1 < ... are the
+    orbits' least members.  With m = (p - 1) / ord(k) orbits (the cosets
+    of <k>), x lies in orbit log x mod m and is c k^e for
+    e = (log x - log c) / m * (log k / m)^{-1} mod ord(k).
+    """
+    logs = _discrete_logs(p)
+    log_k = int(logs[k % p - 1])
+    m = math.gcd(log_k, p - 1)
+    order = (p - 1) // m
+    classes = logs % m
+    first = np.full(m, p - 1)  # index of c, per class
+    np.minimum.at(first, classes, np.arange(p - 1))
+    exps = logs  # reused in place for e, so the table costs no further p-sized array
+    exps -= exps[first][classes]
+    exps %= p - 1
+    exps //= m
+    exps *= pow(log_k // m, -1, order)
+    exps %= order
+    rank = np.empty(m, dtype=np.int64)  # orbits by least member
+    rank[np.argsort(first)] = np.arange(m)
+    cycles = np.empty((m, order), dtype=np.int64)
+    cycles[rank[classes], exps] = np.arange(1, p)
+    return cycles
 
 
 def _cycle_members(cycle: list[int], count: int, order: int) -> list[int]:
@@ -596,7 +620,8 @@ def dependent_pair_exact(k: int, p: int, alpha=None):
     if k % p == 0:
         raise ValueError("k must be a unit mod p")
     system = dilate_pair(k)
-    order, cycles = _dilation_cycles(k, p)
+    cycles = _dilation_cycles(k, p).tolist()
+    order = len(cycles[0])
     per_cycle = order // 2
     members: list[int] = []
     for cyc in cycles:
@@ -714,29 +739,14 @@ def multiplicative_free_set(k: int, p: int) -> CyclicSubset:
     if k_mod == p - 1:
         members = range(1, (p - 1) // 2 + 1)
     else:
-        # Walking x = 1, 2, ... starts one dilation cycle in each coset c<k>
-        # of the units, at its least member c, and keeps c k^e for the even
-        # exponents e = 2j mod ord(k).  With logs to a primitive root and
-        # m = (p - 1) / ord(k) cosets, x lies in the coset log x mod m and
-        # is c k^e for e = (log x - log c) / m * (log k / m)^{-1} mod ord(k).
-        # p <= 10^9 keeps every product below exact in int64.
-        check_budget(f"discrete-log table mod {p}", p, DEFAULT_BRUTE_CAP)
-        g = primitive_root(p)
-        powers = np.ones(1, dtype=np.int64)  # g^i mod p, i < p - 1
-        while len(powers) < p - 1:
-            powers = np.concatenate([powers, powers * pow(g, len(powers), p) % p])
-        logs = np.empty(p - 1, dtype=np.int64)  # logs[x - 1] = log x
-        logs[powers[: p - 1] - 1] = np.arange(p - 1)
-        m = math.gcd(int(logs[k_mod - 1]), p - 1)
-        order = (p - 1) // m
-        classes = logs % m
-        first = np.full(m, p - 1)  # index of c, per class
-        np.minimum.at(first, classes, np.arange(p - 1))
-        steps = (logs - logs[first][classes]) % (p - 1) // m
-        exps = steps * pow(int(logs[k_mod - 1]) // m, -1, order) % order
+        # keep each dilation cycle's members at the even exponents 2j mod ord(k)
+        cycles = _dilation_cycles(k, p)
+        order = cycles.shape[1]
         even = np.zeros(order, dtype=bool)
         even[2 * np.arange(1, order // 2 + 1) % order] = True
-        members = (np.flatnonzero(even[exps]) + 1).tolist()
+        keep = np.zeros(p, dtype=bool)
+        keep[cycles[:, even]] = True
+        members = np.flatnonzero(keep).tolist()
     subset = CyclicSubset(p, tuple(members))
     if sol_count(subset, dilate_pair(k)).count != 0:
         raise AssertionError("multiplicative construction is not dilation-free")

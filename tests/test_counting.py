@@ -98,6 +98,44 @@ def test_input_error_messages(call, error, message):
         call()
 
 
+def _subset_outcome(modulus, members):
+    try:
+        subset = CyclicSubset(modulus, members)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is int for x in subset.members)
+    return subset.members
+
+
+@pytest.mark.parametrize(
+    "tail, modulus",
+    [
+        ([200, 201], 300),  # valid
+        ([np.int64(200), np.uint8(201)], 300),  # numpy ints are stored as Python ints
+        ([200.5, 201.7], 300),  # int() truncates
+        ([201, 200], 300),  # not increasing
+        ([200, 300], 300),  # out of range
+        ([-1, 200], 300),  # out of range before not increasing
+        ([300, 200], 300),  # out of range before not increasing
+        ([2**70, 2**70 + 1], 2**71),  # beyond int64 and valid
+        ([2**70, 2**70], 2**71),  # beyond int64 and not increasing
+        ([200, 2**70], 300),  # beyond int64 and out of range
+        ([200, None], 300),  # not an integer
+        ([200, "x"], 300),  # not an integer
+    ],
+)
+def test_long_member_lists_are_checked_like_short_ones(tail, modulus):
+    # from 64 members the checks run in one numpy pass: the stored ints, the
+    # errors and their order match the per-member checks of a short list
+    assert counting._BULK_MEMBERS == 64
+    short = _subset_outcome(modulus, [0, 1, *tail])
+    long = _subset_outcome(modulus, [*range(64), *tail])
+    if isinstance(short, tuple) and isinstance(short[0], type):
+        assert long == short
+    else:
+        assert long == tuple(range(64)) + short[2:]
+
+
 def test_subset_file_round_trip(tmp_path):
     a = CyclicSubset(11, (0, 3, 7))
     path = tmp_path / "a.txt"

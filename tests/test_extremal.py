@@ -756,12 +756,8 @@ def test_multiplicative_free_set_examples():
         multiplicative_free_set(1, 7)
 
 
-def _multiplicative_members_by_cycle_walk(k, p):
-    """Reference: x = 1, 2, ... each start the next unseen dilation cycle, and
-    each cycle keeps the members at its even exponents 2j mod ord(k)."""
-    k_mod = k % p
-    if k_mod == p - 1:
-        return tuple(range(1, (p - 1) // 2 + 1))
+def _dilation_cycles_by_walk(k, p):
+    """Reference: x = 1, 2, ... each start the next unseen orbit of x -> kx on the units."""
     seen = [False] * p
     cycles = []
     for x in range(1, p):
@@ -769,12 +765,30 @@ def _multiplicative_members_by_cycle_walk(k, p):
         while not seen[x]:
             seen[x] = True
             cycle.append(x)
-            x = x * k_mod % p
+            x = x * k % p
         if cycle:
             cycles.append(cycle)
+    return cycles
+
+
+def _multiplicative_members_by_cycle_walk(k, p):
+    """Reference: each dilation cycle keeps the members at its even exponents 2j mod ord(k)."""
+    k_mod = k % p
+    if k_mod == p - 1:
+        return tuple(range(1, (p - 1) // 2 + 1))
+    cycles = _dilation_cycles_by_walk(k_mod, p)
     order = len(cycles[0])
     exponents = {2 * j % order for j in range(1, order // 2 + 1)}
     return tuple(sorted(cycle[e] for cycle in cycles for e in exponents))
+
+
+def test_dilation_cycles_match_the_walk():
+    # orbits in the order of their least members, each starting there
+    for p in filter(is_prime, range(3000)):
+        for k in (2, 3, 5, -2, p - 2):
+            if k % p:
+                want = _dilation_cycles_by_walk(k % p, p)
+                assert extremal._dilation_cycles(k, p).tolist() == want, (k, p)
 
 
 def test_multiplicative_free_set_matches_the_cycle_walk():

@@ -108,12 +108,56 @@ def test_u3_memory_is_bounded_by_the_block(is_complex):
     assert _peak_bytes(lambda: gowers_norm(f, 3)) < 16 << 20
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 257, 1061])
+def test_rows_pack_at_primes_from_89_and_above_a_largest_prime_factor_of_191():
+    packs = [n for n in (2, 83, 89, 97, 362, 382, 398, 764, 4094, 4093, 4106) if gowers._packs(n)]
+    assert packs == [89, 97, 382, 398, 764, 4093, 4106]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 83, 89, 362, 382, 764, 4093])
+def test_packed_rows_match_the_plain_rows(n):
+    # seven rows in four pairs: the last pair's imaginary part is zero
+    rows = np.random.default_rng(n).random((7, n))
+    pairs = np.zeros((4, n), dtype=complex)
+    pairs.real = rows[0::2]
+    pairs.imag[:3] = rows[1::2]
+    work = np.empty((4, n // 2 + 1), dtype=complex)
+    got = gowers._u2_fourth_pairs(pairs, np.empty_like(pairs), work)
+    np.testing.assert_allclose(got[:7], gowers._u2_fourth_rows(rows), rtol=1e-13, atol=0)
+    assert abs(got[7]) < 1e-13 * got[:7].min()
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [(89, 1), (89, 4), (89, 5), (89, None), (764, 1), (764, 5), (764, None), (4093, None)],
+)
+def test_packed_u3_matches_the_plain_u3(n, rows):
+    # rows = 1, 4 and 5 make blocks of 2, 4 and 6 rows, so the 45 shifts of N = 89
+    # end in a block of 1, 1 and 3 rows and the 383 of N = 764 in one of 1 and 5 rows;
+    # the default blocks end in 45, 39 and 63 rows
+    values = np.random.default_rng(n).random(n)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(gowers, "_BLOCK", rows * n)
+        got = gowers._power_mean(values, 3)
+        mp.setattr(gowers, "_packs", lambda n: False)
+        want = gowers._power_mean(values, 3)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [89, 97])
+def test_packed_u3_matches_the_definition(n):
+    assert gowers._packs(n) and n**4 <= gowers.DEFINITIONAL_CAP
+    f = _drawn_function(n, False, n)
+    want = gowers_norm_definitional(f, 3)
+    assert abs(gowers_norm(f, 3) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 89, 257, 382, 1061])
 def test_norm_bits_do_not_depend_on_the_worker_count(n):
     # each row's U^2 value and each h term is computed alone and summed in a
-    # fixed order, so the float is the same for every split; U^4 at N = 1061
-    # is over the budget
-    cases = [(d, is_complex) for d in (3, 4) for is_complex in (False, True) if n < 1061 or d == 3]
+    # fixed order, so the float is the same for every split; real rows pack in
+    # pairs at N = 89, 257, 382 and 1061; U^4 runs up to N = 257
+    cases = [(d, is_complex) for d in (3, 4) for is_complex in (False, True) if n <= 257 or d == 3]
     fs = {is_complex: _drawn_function(n, is_complex, n) for is_complex in (False, True)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gowers, "_cpu_count", lambda: 1)
