@@ -254,6 +254,7 @@ def cmd_scan(args) -> int:
         out_dir=args.out,
         min_prime_factor=args.min_p1,
         budget_ms=args.budget_ms,
+        ignore_constant=args.ignore_constant,
     )
     skipped = [r.n for r in records if r.method == "skipped"]
     if args.format == "csv":
@@ -392,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, dest="run_seed")
     p.add_argument("--budget-ms", type=int, dest="budget_ms")
     p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--ignore-constant", action="store_true", dest="ignore_constant")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("reproduce", help="re-run an acceptance criterion by id")

@@ -1,20 +1,23 @@
 """Solution measures of linear-form systems over Z/N.
 
-There are three counting paths:
+There are three counting paths, and each is checked against another:
 
-- ``sol_brute``, the definitional grid walk: it visits (Z/N)^D through
-  ``forms.configurations``, the one chunked enumerator of a system's
-  configurations, and multiplies the t values at each point.  Indicator
-  inputs get an exact integer count, any other input a complex average.
-  It is the oracle the other two are tested against.
+- ``sol_brute``.  Indicator inputs take the definitional grid walk: it
+  visits (Z/N)^D through ``forms.configurations``, the one chunked
+  enumerator of a system's configurations, multiplies the t values at
+  each point and returns the exact integer count.  It shares no row code
+  with ``sol_count`` and is its oracle; ``has_configuration`` walks the
+  same grid.  Any other input gets a float average from the rows of
+  ``sol_count`` below, multiplied instead of packed; its oracle is the
+  defining average over every point, in the tests.
 - ``sol_count``, the bit-packed exact count for indicator sets: it
   eliminates one variable, packs each slot's membership along it into
   64-bit words, and counts the configurations with AND and popcount.
   Every grid point is still tested, one bit each, so the count is exact.
   Exact solvers and certificate checks use it.
 - ``sol_fast``, the float dual sum over the kernel presentation with one
-  DFT per slot; it has a documented 1e-9 tolerance and is never used
-  inside exact solvers.
+  DFT per slot; it has a documented 1e-9 tolerance, is checked against
+  the float ``sol_brute``, and is never used inside exact solvers.
 
 DFT convention, used everywhere in this package:
     fhat(r) = E_x f(x) e(-r x / N)
@@ -228,7 +231,7 @@ class SolutionMeasure:
 
 DEFAULT_BRUTE_CAP = 10**9
 DUAL_BUDGET = 10**8  # N^k t points in the dual sum of ``sol_fast``
-_ROW_BLOCK = 1 << 18  # unpacked row bytes per slot per prefix chunk: 64 rows at N = 4093
+_ROW_BLOCK = 1 << 18  # row bytes per slot per prefix chunk: 64 uint8 rows at N = 4093
 
 
 def _check_slots(fs: Sequence[CyclicFunction | CyclicSubset], system: LinearFormSystem) -> int:
@@ -250,11 +253,16 @@ def _products(values: Sequence[np.ndarray], system: LinearFormSystem, n: int):
 
 
 def sol_brute(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> SolutionMeasure:
-    """Sol(f_1, ..., f_t) = E_{n in (Z/N)^D} prod_i f_i(psi_i(n)), exactly as stated.
+    """Sol(f_1, ..., f_t) = E_{n in (Z/N)^D} prod_i f_i(psi_i(n)).
 
-    Indicator inputs take an integer accumulation path and carry the exact
-    configuration count in the result; real inputs multiply float64, not
-    complex128.  BudgetExceeded when N^D exceeds ``DEFAULT_BRUTE_CAP``.
+    Indicator inputs take the definitional grid walk and carry the exact
+    configuration count in the result; it is the oracle of ``sol_count``.
+    Any other input takes the rows of ``sol_count``: per prefix of the
+    walked variables, slot i contributes y -> f_i(base_i + c_i y), the t
+    rows are multiplied and summed, so every grid point is still visited.
+    Real inputs stay float64, complex ones complex128; the defining
+    average is the oracle of this path in the tests.  BudgetExceeded when
+    N^D exceeds ``DEFAULT_BRUTE_CAP``.
     """
     n = _check_slots(fs, system)
     total = n**system.num_variables
@@ -262,12 +270,28 @@ def sol_brute(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> Solutio
         inds = [f.values.real.astype(np.uint8) for f in fs]
         count = sum(int(prod.sum()) for prod in _products(inds, system, n))
         return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
-    values = [f.values for f in fs]
-    if not any(v.imag.any() for v in values):
-        values = [v.real for v in values]
+    real = not any(f.values.imag.any() for f in fs)
+    slots, chunk, walk = _row_scheme(fs, lambda f: f.values.real if real else f.values, system, n)
+    # the product fills a buffer made once, so one gathered row is alive at a
+    # time: with two fresh chunk-sized arrays alive, glibc trimmed and
+    # re-faulted the heap top on every chunk (3x slower at N = 4093 in a fresh
+    # process)
+    buffer = np.empty((chunk, n), dtype=slots[0][0].dtype)
     acc = 0.0 + 0.0j
-    for prod in _products(values, system, n):
-        acc += complex(prod.sum())
+    for bases in walk:
+        prod, scale = None, None
+        for (table, source), base in zip(slots, bases):
+            if source is None:
+                scale = table[base] if scale is None else scale * table[base]
+            elif prod is None:
+                prod = buffer[: len(base)]
+                np.copyto(prod, source(base))
+            else:
+                np.multiply(prod, source(base), out=prod)
+        sums = np.full(len(bases[0]), float(n)) if prod is None else prod.sum(axis=1)
+        if scale is not None:
+            sums = sums * scale
+        acc += complex(sums.sum())
     return SolutionMeasure(value=acc / total, points=total, count=None)
 
 
@@ -289,19 +313,19 @@ def _pack(rows: np.ndarray, words: int) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _row_source(ind: np.ndarray, c: int, n: int):
-    """base -> the rows y -> ind[(base + c y) % n], y < n, for 0 < c < n.
+def _row_source(table: np.ndarray, c: int, n: int):
+    """base -> the rows y -> table[(base + c y) % n], y < n, for 0 < c < n.
 
     With g = gcd(c, n), m = n / g and c' = c / g, a unit mod m:
     base + c y = r + g (u + c' y) for r = base % g and u = base // g, so the
     row has period m and its first m entries are row r of the table
-    T[r, z] = ind[r + g (c' z % m)] read cyclically from (c'^-1 u) % m.
+    T[r, z] = table[r + g (c' z % m)] read cyclically from (c'^-1 u) % m.
     Rows come out as windows of T, doubled, repeated g times when g > 1.
     """
     g = math.gcd(c, n)
     m = n // g
     unit = c // g
-    cycles = np.ascontiguousarray(ind.reshape(m, g).T)  # cycles[r, z] = ind[r + g z]
+    cycles = np.ascontiguousarray(table.reshape(m, g).T)  # cycles[r, z] = table[r + g z]
     if unit != 1:  # c' = 1 needs no permutation of the columns
         cycles = cycles[:, unit * np.arange(m) % m]
     doubled = np.concatenate([cycles, cycles[:, :-1]], axis=1)
@@ -319,38 +343,54 @@ def _row_source(ind: np.ndarray, c: int, n: int):
     return rows
 
 
+def _row_scheme(inputs: Sequence, table_of, system: LinearFormSystem, n: int):
+    """The set-up of the row paths: (slots, chunk, walk).
+
+    One variable x_j is eliminated and the other D - 1 are walked.  Slot i
+    is (table, source): ``source(base)`` gives the rows
+    y -> table[(base + c_i y) % n] for a chunk of prefix bases, or is None
+    when c_i = 0 mod n and the slot is the one value table[base] per
+    prefix.  ``walk`` yields per chunk of ``chunk`` prefixes the slots'
+    bases, so a chunk holds ``_ROW_BLOCK`` bytes of rows per slot.  There
+    is one table per distinct input, ``table_of(input)``, and one source
+    per distinct (input, c_i).  ``DEFAULT_BRUTE_CAP`` applies to the full
+    N^D grid and is checked before anything is allocated.
+    """
+    d = system.num_variables
+    check_grid(n, d, DEFAULT_BRUTE_CAP)
+    j = _eliminated_column(system, n)
+    tables, sources, slots = {}, {}, []
+    for x, row in zip(inputs, system.forms):
+        c = row[j] % n
+        if id(x) not in tables:
+            tables[id(x)] = table_of(x)
+        if c and (id(x), c) not in sources:
+            sources[id(x), c] = _row_source(tables[id(x)], c, n)
+        slots.append((tables[id(x)], sources.get((id(x), c))))
+    prefix_forms = [row[:j] + row[j + 1 :] for row in system.forms]
+    chunk = max(1, _ROW_BLOCK // (n * slots[0][0].itemsize))
+    return slots, chunk, _walk(prefix_forms, d - 1, n, chunk)
+
+
 def sol_count(
     sets: Sequence[CyclicSubset] | CyclicSubset,
     system: LinearFormSystem,
 ) -> SolutionMeasure:
     """Exact configuration count for indicator sets (one set, or one per slot).
 
-    One variable x_j is eliminated and the other D - 1 are walked.  For each
-    such prefix p, slot i's membership along x_j is a row of N bits,
-    y -> 1_{A_i}(base_i(p) + c_i y), packed 64 to a word; the count is
-    sum_p popcount(AND_i row_i(p)).  Every grid point is still tested, as
-    one bit, so the count is exact.  ``DEFAULT_BRUTE_CAP`` applies to the
-    full N^D grid and is checked before anything is allocated.
+    On the rows of ``_row_scheme``, per prefix p slot i's membership is a
+    row of N bits, y -> 1_{A_i}(base_i(p) + c_i y), packed 64 to a word;
+    the count is sum_p popcount(AND_i row_i(p)).  Every grid point is
+    still tested, as one bit, so the count is exact.  ``DEFAULT_BRUTE_CAP``
+    applies to the full N^D grid and is checked before anything is allocated.
     """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
     n = _check_slots(sets, system)
-    d = system.num_variables
-    check_grid(n, d, DEFAULT_BRUTE_CAP)
-    j = _eliminated_column(system, n)
-    # one indicator per distinct set, one row source per distinct (set, c)
-    indicators, sources, slots = {}, {}, []
-    for s, row in zip(sets, system.forms):
-        c = row[j] % n
-        if id(s) not in indicators:
-            indicators[id(s)] = s.indicator_array()
-        if c and (id(s), c) not in sources:
-            sources[id(s), c] = _row_source(indicators[id(s)], c, n)
-        slots.append((indicators[id(s)], sources.get((id(s), c))))
+    slots, _, walk = _row_scheme(sets, CyclicSubset.indicator_array, system, n)
     words = -(-n // 64)
-    prefix_forms = [row[:j] + row[j + 1 :] for row in system.forms]
     count = 0
-    for bases in _walk(prefix_forms, d - 1, n, max(1, _ROW_BLOCK // n)):
+    for bases in walk:
         hits, mask = None, None
         for (ind, source), base in zip(slots, bases):
             if source is None:
@@ -366,7 +406,7 @@ def sol_count(
         if mask is not None:
             per_prefix = per_prefix * mask
         count += int(np.sum(per_prefix))
-    total = n**d
+    total = n**system.num_variables
     return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
 
 

@@ -99,24 +99,30 @@ def _u2_fourth_pairs(z: np.ndarray, spec: np.ndarray, work: np.ndarray) -> np.nd
     Row i of z holds a_i + i b_i.  One complex FFT Z of it, into ``spec``,
     gives both real spectra on xi = 0..n//2: u = Z(xi) + conj Z(-xi) is
     twice that of a_i, and v = Z(xi) - conj Z(-xi) is 2i times that of
-    b_i.  ``work`` (pairs x (n//2 + 1)) receives conj Z(-xi), then v; u
-    goes into z, spent once Z is taken, and the magnitudes into a float
-    view of ``spec``, spent once u and v are formed: a block of pairs
-    takes no more memory than the same rows unpacked.
+    b_i.  ``work`` (pairs x (n//2 + 1)) receives conj Z(-xi), then v.  The
+    spent z takes Z(xi) for xi <= n//2, then the magnitudes, and the spent
+    ``spec`` takes u, each packed as one contiguous array: a block of pairs
+    takes no more memory than the same rows unpacked, and no ufunc reads
+    or writes a strided operand, for which numpy allocates its iteration
+    buffers on every call.  z and ``spec`` must be C-contiguous.
     """
     n = z.shape[1]
     half = n // 2 + 1
+    size = len(z) * half
     np.fft.fft(z, axis=1, out=spec)
     np.take(spec, np.arange(0, -half, -1) % n, axis=1, out=work, mode="wrap")
     np.conjugate(work, out=work)
-    u, mags = z[:, :half], spec.view(float)[:, : 2 * half]
-    np.add(spec[:, :half], work, out=u)
-    np.subtract(spec[:, :half], work, out=work)
-    np.abs(u, out=mags[:, :half])
-    np.abs(work, out=mags[:, half:])
+    front = z.reshape(-1)[:size].reshape(-1, half)
+    np.copyto(front, spec[:, :half])
+    u = spec.reshape(-1)[:size].reshape(-1, half)
+    np.add(front, work, out=u)
+    np.subtract(front, work, out=work)
+    mags = z.view(float).reshape(-1)[: 2 * size].reshape(2, -1, half)  # |u| rows, |v| rows
+    np.abs(u, out=mags[0])
+    np.abs(work, out=mags[1])
     mags **= 2
     mags **= 2
-    return _half_spectrum_sums(mags.reshape(len(mags), 2, half), n).ravel() / (16 * n**4)
+    return _half_spectrum_sums(mags, n).T.ravel() / (16 * n**4)
 
 
 def _half_shift_weights(n: int) -> np.ndarray:

@@ -60,6 +60,7 @@ def _run_quantity(
     n: int,
     mode: str,
     seed: int,
+    ignore_constant: bool,
 ):
     if quantity in ("m", "M"):
         if mode == "heuristic":
@@ -67,12 +68,15 @@ def _run_quantity(
             return solver(system, alpha, n, seed=seed)
         return (min_sol_exact if quantity == "m" else max_sol_exact)(system, alpha, n)
     k = as_dependent_pair(system)
-    if k is not None and abs(k) >= 2 and is_prime(n) and n > abs(k):
+    # dependent_pair_exact counts (0, 0) as a configuration, so 0 is never free there
+    if not ignore_constant and k is not None and abs(k) >= 2 and is_prime(n) and n > abs(k):
         density, _ = dependent_pair_exact(k, n)
         return density
     if mode == "heuristic":
-        return max_free_density_heuristic([system], n, seed=seed)
-    return max_free_density_exact([system], n)
+        return max_free_density_heuristic(
+            [system], n, seed=seed, ignore_constant_configs=ignore_constant
+        )
+    return max_free_density_exact([system], n, ignore_constant_configs=ignore_constant)
 
 
 def scan_convergence(
@@ -85,6 +89,7 @@ def scan_convergence(
     out_dir: str | Path | None = None,
     min_prime_factor: int = 1,
     budget_ms: int | None = None,
+    ignore_constant: bool = False,
 ) -> tuple[list[ScanRecord], str]:
     """Run the quantity over the moduli; returns (records, csv_text).
 
@@ -93,8 +98,12 @@ def scan_convergence(
     "prime-floor"), when the cumulative wall time has passed
     ``budget_ms`` (reason "time"), or when its computation raises
     BudgetExceeded (reason "budget").  Any other error propagates.  An
-    unknown quantity or mode, or an alpha outside [0, 1] for m or M,
-    raises ValueError before the first modulus is run.  The seed column
+    unknown quantity or mode, an alpha outside [0, 1] for m or M, or
+    ``ignore_constant`` with m or M, raises ValueError before the first
+    modulus is run.  ``ignore_constant`` makes d the density free of every
+    configuration whose coordinates are not all equal, as in
+    ``max_free_density_exact``; without it a translation-invariant system
+    has d = 0, since each point is a constant configuration.  The seed column
     is empty in exact mode, which reads no seed.  With ``out_dir`` the CSV
     and SVG artifacts are written there.
     """
@@ -104,6 +113,8 @@ def scan_convergence(
         raise ValueError(f"unknown mode {mode!r}; use exact or heuristic")
     if quantity in ("m", "M"):
         check_alpha(alpha)
+        if ignore_constant:
+            raise ValueError("ignore_constant applies only to the quantity d")
     records: list[ScanRecord] = []
     row_seed = seed if mode == "heuristic" else None
     scan_start = time.perf_counter()
@@ -117,7 +128,7 @@ def scan_convergence(
             reason = "time"
         else:
             try:
-                result = _run_quantity(system, quantity, alpha, n, mode, seed)
+                result = _run_quantity(system, quantity, alpha, n, mode, seed, ignore_constant)
             except BudgetExceeded:
                 reason = "budget"
             elapsed = (time.perf_counter() - t0) * 1000

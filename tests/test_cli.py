@@ -563,13 +563,35 @@ def test_scan_oversized_modulus_exits_2_with_the_same_rows(capsys, system_file):
     assert skipped == [23]
 
 
+def test_scan_ignore_constant_reads_the_non_constant_density(capsys, system_file):
+    # every point x is the constant 3AP (x, x, x), so d is 0 without the flag;
+    # with it, d is the largest 3AP-free density: 2/5 at N = 5, 4/9 at N = 9
+    argv = ["scan", "--system", system_file, "--quantity", "d", "--moduli", "5,9",
+            "--format", "csv"]
+    assert main(argv) == 0
+    rows = [row.rsplit(",", 1)[0] for row in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["5,1,5,d,0.0,exact,", "9,0,3,d,0.0,exact,"]
+    assert main([*argv, "--ignore-constant"]) == 0
+    rows = [row.rsplit(",", 1)[0] for row in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["5,1,5,d,0.4,exact,", "9,0,3,d,0.4444444444444444,exact,"]
+
+
+@pytest.mark.parametrize("quantity", ["m", "M"])
+def test_scan_ignore_constant_with_m_or_M_is_an_input_error(capsys, system_file, quantity):
+    argv = ["scan", "--system", system_file, "--quantity", quantity, "--moduli", "5,7"]
+    assert main([*argv, "--ignore-constant"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: ignore_constant applies only to the quantity d\n"
+    assert captured.out == ""
+
+
 def test_scan_input_error_inside_a_modulus_exits_1(capsys, monkeypatch, system_file):
     run_quantity = harness._run_quantity
 
-    def bad_at_7(system, quantity, alpha, n, mode, seed):
+    def bad_at_7(system, quantity, alpha, n, *options):
         if n == 7:
             raise ValueError("not a budget")
-        return run_quantity(system, quantity, alpha, n, mode, seed)
+        return run_quantity(system, quantity, alpha, n, *options)
 
     monkeypatch.setattr(harness, "_run_quantity", bad_at_7)
     code = main(

@@ -374,6 +374,65 @@ def test_packed_count_pinned_cases(system, n):
     assert sol_count(per_slot, system).count == _brute_count(per_slot, system)
 
 
+def _random_function(rng, n: int, complex_values: bool) -> CyclicFunction:
+    values = rng.uniform(-1, 1, n)
+    if complex_values:
+        values = values * np.exp(2j * np.pi * rng.random(n))
+    return CyclicFunction(n, values)
+
+
+def _defining_average(fs, system) -> complex:
+    """E_n prod_i f_i(psi_i(n)), one grid point at a time."""
+    n = fs[0].modulus
+    total = 0j
+    for point in np.ndindex(*(n,) * system.num_variables):
+        term = 1 + 0j
+        for f, y in zip(fs, system.evaluate(point, n)):
+            term *= f.values[y]
+        total += term
+    return total / n**system.num_variables
+
+
+@given(_systems(), st.integers(1, 30), st.booleans(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_float_rows_match_the_defining_average(system, n, complex_values, block, seed):
+    # coefficients up to 9 in size give zero, non-unit and all-zero columns
+    # mod n; a small row block splits the prefix walk mid-grid
+    rng = np.random.default_rng(seed)
+    fs = [_random_function(rng, n, complex_values) for _ in range(system.t)]
+    if rng.random() < 0.5:  # one function in every slot shares its tables
+        fs = [fs[0]] * system.t
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_ROW_BLOCK", block)
+        got = sol_brute(fs, system)
+    assert got.count is None and got.points == n**system.num_variables
+    assert abs(got.value - _defining_average(fs, system)) < 1e-12
+    if not complex_values:
+        assert got.value.imag == 0.0
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize(
+    "system, n",
+    [
+        (three_ap(), 100),  # the coefficient 2 is not a unit at even N
+        (kernel_system((1, 1, -3)), 99),  # 3 divides N
+        (dilate_pair(2), 1000),  # D = 1: one row per slot
+    ],
+    ids=["3ap-100", "k113-99", "x2x-1000"],
+)
+def test_float_rows_pinned_cases(system, n, complex_values):
+    rng = np.random.default_rng(n)
+    single = _random_function(rng, n, complex_values)
+    per_slot = [_random_function(rng, n, complex_values) for _ in range(system.t)]
+    for fs in ([single] * system.t, per_slot):
+        want = _defining_average(fs, system)
+        for block in (counting._ROW_BLOCK, 3 * n * 16 + 5):  # shipped chunks; 3 or 6 rows
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_ROW_BLOCK", block)
+                assert abs(sol_brute(fs, system).value - want) < 1e-12
+
+
 _STOCK = [three_ap(), four_ap(), kernel_system((1, 1, -3)), dilate_pair(2), dilate_pair(3)]
 
 

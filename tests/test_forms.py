@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclicforms import forms
+from cyclicforms import counting, forms
 from cyclicforms.counting import CyclicFunction, sol_brute
 from cyclicforms.forms import (
     BudgetExceeded,
@@ -320,11 +320,13 @@ def test_walk_with_chunks_shorter_than_a_grid_row_matches_the_arithmetic_walk(d,
 
 
 def test_sol_brute_sums_the_same_chunks_as_the_arithmetic_walk(monkeypatch):
-    # float sums depend on the chunk boundaries, so the value must be equal, not close
-    n = 1009  # 1,018,081 points: 32 chunks, where a boundary moved by one changes the sum
+    # float sums depend on the chunk boundaries, so the value must be equal, not close;
+    # the float path walks its prefixes through the name imported into counting
+    n = 1009  # 1,009 prefix rows: 32 chunks, where a boundary moved by one changes the sum
     f = CyclicFunction(n, np.random.default_rng(7).random(n))
     fast = sol_brute([f] * 3, three_ap()).value
     monkeypatch.setattr(forms, "_walk", _reference_walk)
+    monkeypatch.setattr(counting, "_walk", _reference_walk)
     assert fast == sol_brute([f] * 3, three_ap()).value
 
 

@@ -66,6 +66,16 @@ def test_scan_dependent_pair_density_path():
     assert abs(values[101] - 50 / 101) < 1e-12
 
 
+def test_scan_ignore_constant_admits_zero_for_a_dependent_pair():
+    # (0, 0) is the one constant configuration of (x, 2x) at prime N, so the
+    # flag adds 0 to the cycle construction's floor(ord/2) members per cycle
+    for mode in ("exact", "heuristic"):
+        records, _ = scan_convergence(
+            dilate_pair(2), "d", None, [5, 7], mode=mode, ignore_constant=True
+        )
+        assert [r.value for r in records] == [3 / 5, 3 / 7]
+
+
 def test_scan_free_density_path_without_a_dependent_pair():
     # Schur triples (x, y, x + y) are not invariant and not a dependent pair, so
     # the scan runs the free-density solvers; the exact values are the largest

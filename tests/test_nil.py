@@ -70,6 +70,11 @@ def test_log_exp_identity_and_heisenberg_generator():
     assert lg[0][1] == Fraction(7, 2) and lg[0][2] == 0
 
 
+def test_unitriangular_repr_lists_the_rows():
+    g = UnitriangularElement(mat([[1, Fraction(7, 2), -2], [0, 1, 0], [0, 0, 1]]))
+    assert repr(g) == "UnitriangularElement([1, 7/2, -2]; [0, 1, 0]; [0, 0, 1])"
+
+
 @given(st.lists(rationals, min_size=6, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_log_exp_round_trip_4x4(vals):
