@@ -16,7 +16,6 @@ from .counting import (
     as_fraction,
     complement_sol,
     has_configuration,
-    l1_deviation,
     sol_brute,
     sol_count,
     sol_fast,

@@ -478,9 +478,3 @@ def complement_sol(a: CyclicSubset) -> tuple[Fraction, Fraction]:
         )
     return sol_a, sol_c
 
-
-def l1_deviation(f: CyclicFunction, g: CyclicFunction) -> float:
-    """E_x |f(x) - g(x)|."""
-    if f.modulus != g.modulus:
-        raise ValueError("moduli differ")
-    return float(np.mean(np.abs(f.values - g.values)))

@@ -3,8 +3,9 @@
 Exact solvers enumerate subsets (or run branch and bound on the
 forbidden-configuration hypergraph) and always re-verify the certificate
 through the exact counter ``sol_count`` before returning; heuristic
-solvers anneal from a seed, tracking bit-sliced counts over a set-up
-cached per (system, N), and re-verify their certificate-backed bounds too.
+solvers anneal from a seed, tracking bit-sliced counts, one bit per
+distinct configuration weighted by its multiplicity, over a set-up cached
+per (system, N), and re-verify their certificate-backed bounds too.
 The annealing move loop calls no Python function: it replays numpy's
 scalar draws inline on raw PCG64 words, taken with ``next`` from one lazy
 iterator over fetched blocks, and reads one cached temperature table.
@@ -23,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -202,23 +203,42 @@ def _bitsets(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _weight(bits: int, w_max: int, runs) -> int:
+    """The grid points of the masks in a bitset of ``_anneal_setup``."""
+    return w_max * bits.bit_count() - sum(dw * (bits & run).bit_count() for dw, run in runs)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _anneal_setup(system: LinearFormSystem, n: int):
-    """``(grid, uses, degree, top)`` for ``_anneal``, built once per (system, N).
+    """``(masks, uses, degree, top, weights)`` for ``_anneal``, built once per (system, N).
 
-    grid: the table's masks repeated by multiplicity, read-only; uses[v]:
-    the bitset of grid points through vertex v; degree[v]: its popcount;
-    top: the most distinct vertices of one configuration.
+    masks: the table's distinct configuration masks, read-only, ordered by
+    multiplicity (stably, so by value within a multiplicity), the lowest
+    first; uses[v]: the bitset of masks through vertex v; top: the most
+    distinct vertices of one configuration.  Bit i of a bitset stands for
+    the mult[i] grid points of masks[i], so a bitset T holds
+    weight(T) = w_max * popcount(T) - sum_c (w_max - w_c) * popcount(T & R_c)
+    grid points (``_weight``), where R_c is the run of bits of the masks of
+    multiplicity w_c < w_max.  weights = (w_max, ((w_max - w_c, R_c), ...)),
+    and degree[v] = weight(uses[v]), the grid points through v.
     """
     masks, mult = _config_table(system, n)
-    grid = np.repeat(masks, mult)
-    grid.flags.writeable = False
-    grid_bytes = grid.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    order = np.argsort(mult, kind="stable")
+    masks, mult = masks[order], mult[order]
+    masks.flags.writeable = False
+    mask_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
     uses = []
-    for b in range((n + 7) // 8):  # a byte column at a time: 16 temporary bytes per grid point
-        uses += _bitsets(np.unpackbits(grid_bytes[:, b : b + 1], axis=1, bitorder="little").T)
+    for b in range((n + 7) // 8):  # a byte column at a time: 16 temporary bytes per mask
+        uses += _bitsets(np.unpackbits(mask_bytes[:, b : b + 1], axis=1, bitorder="little").T)
     uses = tuple(uses[:n])
-    return grid, uses, tuple(u.bit_count() for u in uses), int(np.bitwise_count(masks).max())
+    values, starts = np.unique(mult, return_index=True)
+    bounds = [1 << int(b) for b in starts] + [1 << len(mult)]
+    w_max = int(values[-1])
+    runs = tuple(
+        (w_max - int(w), bounds[c + 1] - bounds[c]) for c, w in enumerate(values[:-1])
+    )
+    degree = tuple(_weight(u, w_max, runs) for u in uses)
+    return masks, uses, degree, int(np.bitwise_count(masks).max()), (w_max, runs)
 
 
 def _anneal(
@@ -233,14 +253,17 @@ def _anneal(
 
     Returns the best subset bitmask seen and its configuration count.
 
-    The energy is exact and incremental.  Each grid point of
-    ``_anneal_setup`` has an outside count (its distinct vertices outside
-    the set) kept bit-sliced: ``digit[k]`` is the bitset of points whose
-    count has bit k set.  The energy counts points at 0; with ``occupied``
-    (count >= 1) and ``single`` (count 1) a swap x_out -> x_in changes it by
-    popcount((uses[x_out] & occupied) | (uses[x_in] & single)) - degree[x_out],
-    the gain at 1 through x_in alone minus the loss at 0 through x_out: the
-    same integer a full recount gives.  On accept a borrow (x_in) and a carry
+    The energy is exact and incremental.  Each distinct configuration mask
+    of ``_anneal_setup`` has an outside count (its vertices outside the
+    set) kept bit-sliced: ``digit[k]`` is the bitset of masks whose count
+    has bit k set.  The energy counts grid points at 0; with ``occupied``
+    (count >= 1) and ``single`` (count 1) a swap x_out -> x_in changes it
+    by weight((uses[x_out] & occupied) | (uses[x_in] & single)) -
+    degree[x_out], the gain at 1 through x_in alone minus the loss at 0
+    through x_out.  Every grid point of one mask has the mask's outside
+    count, so weighting each mask by its multiplicity (``_anneal_setup``'s
+    weight) gives the integer a recount over the repeated grid gives, on
+    about half as many bits for 3AP.  On accept a borrow (x_in) and a carry
     (x_out) ripple up the digits until they die.
 
     A move calls no Python function.  Its draws replay inline what
@@ -256,7 +279,7 @@ def _anneal(
     if moves < 0:
         raise ValueError(f"the move budget must be non-negative, got {moves}")
     rng = np.random.default_rng(seed)
-    grid, uses, degree, top = _anneal_setup(system, n)
+    masks, uses, degree, top, (w_max, runs) = _anneal_setup(system, n)
     total = n**system.num_variables
     sign = 1 if minimize else -1
 
@@ -266,10 +289,10 @@ def _anneal(
         mask |= 1 << x
     outside = [x for x in range(n) if not (mask >> x) & 1]
 
-    outside_count = np.bitwise_count(grid & ~np.int64(mask))
+    outside_count = np.bitwise_count(masks & ~np.int64(mask))
     digit = _bitsets((outside_count >> np.arange(top.bit_length(), dtype=np.uint8)[:, None]) & 1)
     occupied, single = _bitsets(np.stack([outside_count >= 1, outside_count == 1]))
-    energy = sign * (total - occupied.bit_count())
+    energy = sign * (total - _weight(occupied, w_max, runs))
     best_energy, best_mask = energy, mask
     if not members or not outside:
         return best_mask, sign * best_energy
@@ -306,7 +329,11 @@ def _anneal(
                 break
         x_out, x_in = members[i], outside[j]
         z_out, z_in = uses[x_out], uses[x_in]
-        change = sign * (((z_out & occupied) | (z_in & single)).bit_count() - degree[x_out])
+        moved = (z_out & occupied) | (z_in & single)
+        change = w_max * moved.bit_count() - degree[x_out]
+        for dw, run in runs:
+            change -= dw * (moved & run).bit_count()
+        change *= sign
         if change > 0:
             t = temperatures[step] if step < cooled else _T_FLOOR
             if (next(words) >> 11) * 2.0**-53 >= math.exp(-(change / total) / t):
@@ -378,17 +405,31 @@ def _forbidden_edges(
     n: int,
     ignore_constant_configs: bool,
 ) -> list[frozenset[int]]:
-    edges: set[frozenset[int]] = set()
-    for system in family:
-        for config in image_mod_n(system, n):
-            if ignore_constant_configs and len(set(config)) == 1:
-                continue
-            edges.add(frozenset(config))
+    """The inclusion-minimal vertex sets of the family's configurations mod N.
+
+    Order contract: by size, and within one size in the iteration order of
+    the Python ``set`` that collects them, so it follows CPython's set
+    layout; the branch and bound's certificate follows this order.  An
+    edge is dropped when a minimal edge of smaller size lies inside it;
+    distinct edges of one size never contain one another, so each edge is
+    tested only against the smaller minimal edges through its own
+    vertices: O(E * degree), not O(E * |minimal|).
+    """
+    edges = {
+        e
+        for system in family
+        for e in map(frozenset, image_mod_n(system, n))
+        if len(e) > 1 or not ignore_constant_configs
+    }
     # drop supersets: avoiding the smaller edge already avoids the bigger
     minimal: list[frozenset[int]] = []
-    for e in sorted(edges, key=len):
-        if not any(f <= e for f in minimal):
-            minimal.append(e)
+    smaller: list[list[frozenset[int]]] = [[] for _ in range(n)]  # per vertex, of earlier sizes
+    for _, same_size in groupby(sorted(edges, key=len), key=len):
+        kept = [e for e in same_size if not any(f <= e for v in e for f in smaller[v])]
+        for e in kept:
+            for v in e:
+                smaller[v].append(e)
+        minimal += kept
     return minimal
 
 
@@ -505,19 +546,27 @@ def max_free_density_heuristic(
     seed: int = 0,
     ignore_constant_configs: bool = False,
 ) -> ExtremalResult:
-    """Greedy randomized lower bound for d_F with a verified-free certificate."""
+    """Greedy randomized lower bound for d_F with a verified-free certificate.
+
+    Each restart adds the vertices in a seeded random order, keeping one
+    when no forbidden edge through it lies inside the set so far.
+    """
     family = list(family)
     if not family:
         return ExtremalResult(Fraction(1), CyclicSubset.full(n), "heuristic", "lowerBound", {})
     rng = np.random.default_rng(seed)
-    edges = _forbidden_edges(family, n, ignore_constant_configs)
+    through: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    for e in _forbidden_edges(family, n, ignore_constant_configs):
+        for v in e:
+            through[v].append(e)
     best: set[int] = set()
     for _ in range(_GREEDY_RESTARTS):
         chosen: set[int] = set()
         for v in rng.permutation(n):
             v = int(v)
             trial = chosen | {v}
-            if any(e <= trial for e in edges):
+            # chosen is free, so an edge inside trial passes through v
+            if any(e <= trial for e in through[v]):
                 continue
             chosen = trial
         if len(chosen) > len(best):

@@ -35,6 +35,7 @@ from cyclicforms.forms import (
     LinearFormSystem,
     dilate_pair,
     four_ap,
+    image_mod_n,
     kernel_system,
     progression_system,
     three_ap,
@@ -335,6 +336,26 @@ def test_anneal_matches_one_hot_reference_on_wide_configurations(k):
             assert got == _one_hot_anneal(system, n, size, seed, 700, minimize), (k, n, minimize)
 
 
+@pytest.mark.parametrize(
+    "system, n",
+    [
+        (LinearFormSystem(((1, 0), (0, 1), (1, 1), (1, 0))), 30),  # a repeated form
+        (LinearFormSystem(((1, 0), (0, 1), (1, 1), (1, 0))), 60),
+        (three_ap(), 60),
+    ],
+    ids=["x,y,x+y,x-30", "x,y,x+y,x-60", "3AP-60"],
+)
+def test_anneal_matches_one_hot_reference_over_several_multiplicities(system, n):
+    # _anneal weights each distinct mask by its multiplicity where the
+    # reference repeats it; here the masks come in three or more multiplicities
+    _, mult = _config_table(system, n)
+    assert len(set(mult.tolist())) >= 3
+    for size in (n // 5, n // 2):
+        for seed, minimize in ((0, True), (1, False), (2, True), (3, False)):
+            got = _anneal(system, n, size, seed, 1500, minimize)
+            assert got == _one_hot_anneal(system, n, size, seed, 1500, minimize), (size, seed)
+
+
 class _CraftedBits:
     """Raw PCG64(seed) words with the low half of every third word zeroed.
 
@@ -397,7 +418,7 @@ def test_anneal_setup_cache_is_never_mutated():
 
     _anneal_setup.cache_clear()
     first = run(calls)
-    grid, uses, degree, _ = _anneal_setup(three_ap(), 31)
+    grid, uses, degree, *_ = _anneal_setup(three_ap(), 31)
     assert not grid.flags.writeable and isinstance(uses, tuple) and isinstance(degree, tuple)
     _anneal_setup.cache_clear()
     assert run(calls[::-1]) == first
@@ -568,6 +589,60 @@ def test_branch_and_bound_matches_reference(picks, n, ignore_constant_configs, d
     assert _max_independent_bb(n, shuffled) == _max_independent_bb_reference(n, shuffled)
 
 
+def _forbidden_edges_reference(family, n, ignore_constant_configs):
+    """The edge filter before the vertex index: each edge against every minimal edge so far."""
+    edges = set()
+    for system in family:
+        for config in image_mod_n(system, n):
+            if ignore_constant_configs and len(set(config)) == 1:
+                continue
+            edges.add(frozenset(config))
+    minimal = []
+    for e in sorted(edges, key=len):
+        if not any(f <= e for f in minimal):
+            minimal.append(e)
+    return minimal
+
+
+def _greedy_reference(family, n, seed, ignore_constant_configs):
+    """The greedy before the vertex index: every edge tested for every added vertex."""
+    rng = np.random.default_rng(seed)
+    edges = _forbidden_edges_reference(family, n, ignore_constant_configs)
+    best = set()
+    for _ in range(8):
+        chosen = set()
+        for v in rng.permutation(n):
+            trial = chosen | {int(v)}
+            if not any(e <= trial for e in edges):
+                chosen = trial
+        if len(chosen) > len(best):
+            best = chosen
+    return tuple(sorted(best))
+
+
+_small_forms = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=1, max_size=4
+)
+
+
+@given(
+    st.lists(st.sampled_from(range(len(FREE_SYSTEMS))), max_size=2, unique=True),
+    st.lists(_small_forms.map(lambda forms: LinearFormSystem(tuple(forms))), max_size=2),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_vertex_index_keeps_edges_and_greedy_certificates(picks, extra, n, ignore, seed):
+    # same edges in the same order, and the same greedy certificate
+    family = [FREE_SYSTEMS[i] for i in picks] + extra
+    if not family:
+        family = [three_ap()]
+    assert _forbidden_edges(family, n, ignore) == _forbidden_edges_reference(family, n, ignore)
+    got = max_free_density_heuristic(family, n, seed=seed, ignore_constant_configs=ignore)
+    assert got.certificate.members == _greedy_reference(family, n, seed, ignore)
+
+
 def _unit_dilation_free_density(k, n):
     """d_(x, kx)(Z/N) for gcd(k, N) = 1: x -> kx permutes Z/N into cycles, a
     fixed point is a forbidden singleton, and a cycle of length L >= 2 holds
@@ -630,6 +705,20 @@ def test_free_certificates_are_recounted(monkeypatch, solver, ignore_constant_co
     monkeypatch.setattr(extremal, "_forbidden_edges", lambda *args: [])
     with pytest.raises(AssertionError, match="forbidden configuration"):
         solver([three_ap()], 20, ignore_constant_configs=ignore_constant_configs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dependent_pair_exact(7, 7), "k must be a unit mod p"),
+        (lambda: weyl_set(1001, 2, 2), "p must be prime"),
+        (lambda: multiplicative_free_set(2, 1001), "p must be prime"),
+    ],
+    ids=["pair-non-unit-k", "weyl-composite-p", "multiplicative-composite-p"],
+)
+def test_input_error_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def _recount_finding(count):
