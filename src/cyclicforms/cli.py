@@ -7,9 +7,8 @@ kernelize, nil, scan, reproduce.  Extremal commands emit JSON
 2 budget exhaustion: a BudgetExceeded, or a ``scan`` row skipped for its
 budget or ``--budget-ms`` (rows below ``--min-p1`` do not count).
 
-A run builds the top-level parser and only the parser of the subcommand
-it names, from the table ``_COMMANDS``; help and usage errors fall back
-to the full parser, so they print what it prints.
+A process builds the parser once (``build_parser`` is cached); parsing
+leaves it unchanged, so every ``main`` call reuses it.
 """
 
 from __future__ import annotations
@@ -311,48 +310,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Refused(Exception):
-    """Raised by ``_OneCommandParser`` in place of any output or exit."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="cyclicforms",
+        description="solution measures, uniformity norms, extremal sets, periodic nil-orbits",
+    )
+    parser.add_argument("--out", help="directory for JSON/CSV/SVG artifacts")
+    parser.add_argument("--seed", type=int, default=0)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-
-class _OneCommandParser(_Parser):
-    """A parser that refuses silently where ``_Parser`` would print: help and usage errors."""
-
-    def error(self, message: str):
-        raise _Refused
-
-    def print_help(self, file=None):
-        raise _Refused
-
-
-def _sol_options(p) -> None:
+    p = sub.add_parser("sol", help="solution measure of a set across a system")
     p.add_argument("--system", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_sol)
 
-
-def _gowers_options(p) -> None:
+    p = sub.add_parser("gowers", help="Gowers uniformity norm of a set or function")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set")
     group.add_argument("--function")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_gowers)
 
+    for name, exact, heuristic in (
+        ("min-sol", min_sol_exact, min_sol_heuristic),
+        ("max-sol", max_sol_exact, max_sol_heuristic),
+    ):
+        p = sub.add_parser(name, help=f"{name} extremal value")
+        p.add_argument("--system", required=True)
+        p.add_argument("--alpha", type=_fraction, required=True)
+        p.add_argument("--n", type=int, required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--exact", action="store_true")
+        group.add_argument("--heuristic", action="store_true")
+        p.add_argument("--budget", type=int)
+        p.add_argument("--seed", type=int, dest="run_seed")
+        p.set_defaults(func=cmd_extremal_sol, exact_solver=exact, heuristic_solver=heuristic)
 
-def _extremal_sol_options(p, exact, heuristic) -> None:
-    p.add_argument("--system", required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--heuristic", action="store_true")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int, dest="run_seed")
-    p.set_defaults(func=cmd_extremal_sol, exact_solver=exact, heuristic_solver=heuristic)
-
-
-def _max_free_options(p) -> None:
+    p = sub.add_parser("max-free", help="maximum free density for a family")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     group = p.add_mutually_exclusive_group()
@@ -362,8 +358,7 @@ def _max_free_options(p) -> None:
     p.add_argument("--seed", type=int, dest="run_seed")
     p.set_defaults(func=cmd_max_free)
 
-
-def _construct_options(p) -> None:
+    p = sub.add_parser("construct", help="explicit free-set constructions")
     csub = p.add_subparsers(dest="construction", required=True)
     w = csub.add_parser("weyl")
     w.add_argument("--p", type=int, required=True)
@@ -379,13 +374,11 @@ def _construct_options(p) -> None:
     i.add_argument("--n", type=int, required=True)
     i.set_defaults(func=cmd_construct)
 
-
-def _kernelize_options(p) -> None:
+    p = sub.add_parser("kernelize", help="kernel presentation of a system")
     p.add_argument("--system", required=True)
     p.set_defaults(func=cmd_kernelize)
 
-
-def _nil_options(p) -> None:
+    p = sub.add_parser("nil", help="nilmanifold constructions")
     nsub = p.add_subparsers(dest="nil_command", required=True)
     b = nsub.add_parser("build-periodic")
     b.add_argument("--model", required=True)
@@ -395,8 +388,7 @@ def _nil_options(p) -> None:
     b.add_argument("--verify", choices=("none", "basic", "full"), default="basic")
     b.set_defaults(func=cmd_nil)
 
-
-def _scan_options(p) -> None:
+    p = sub.add_parser("scan", help="convergence scan over moduli")
     p.add_argument("--system", required=True)
     p.add_argument("--quantity", choices=("m", "M", "d"), required=True)
     p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
@@ -409,68 +401,14 @@ def _scan_options(p) -> None:
     p.add_argument("--ignore-constant", action="store_true", dest="ignore_constant")
     p.set_defaults(func=cmd_scan)
 
-
-def _reproduce_options(p) -> None:
+    p = sub.add_parser("reproduce", help="re-run an acceptance criterion by id")
     p.add_argument("--id", required=True)
     p.set_defaults(func=cmd_reproduce)
-
-
-# subcommand -> (help line, builder of its options), in help order
-_COMMANDS = {
-    "sol": ("solution measure of a set across a system", _sol_options),
-    "gowers": ("Gowers uniformity norm of a set or function", _gowers_options),
-    "min-sol": (
-        "min-sol extremal value",
-        functools.partial(_extremal_sol_options, exact=min_sol_exact, heuristic=min_sol_heuristic),
-    ),
-    "max-sol": (
-        "max-sol extremal value",
-        functools.partial(_extremal_sol_options, exact=max_sol_exact, heuristic=max_sol_heuristic),
-    ),
-    "max-free": ("maximum free density for a family", _max_free_options),
-    "construct": ("explicit free-set constructions", _construct_options),
-    "kernelize": ("kernel presentation of a system", _kernelize_options),
-    "nil": ("nilmanifold constructions", _nil_options),
-    "scan": ("convergence scan over moduli", _scan_options),
-    "reproduce": ("re-run an acceptance criterion by id", _reproduce_options),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or a ``_OneCommandParser`` with ``command`` alone."""
-    parser = (_Parser if command is None else _OneCommandParser)(
-        prog="cyclicforms",
-        description="solution measures, uniformity norms, extremal sets, periodic nil-orbits",
-    )
-    parser.add_argument("--out", help="directory for JSON/CSV/SVG artifacts")
-    parser.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
-        if command is None or name == command:
-            options(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone, else with the full parser.
-
-    The top-level options and the subcommand's own parser are the same in
-    both, so where the one-command parser accepts argv it gives the full
-    parser's Namespace.  It refuses, without output, whatever it cannot
-    parse (help, an unknown or missing command, any usage error), and the
-    full parser then prints the usual message and exits.
-    """
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    if command is not None:
-        try:
-            return build_parser(command).parse_args(argv)
-        except _Refused:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError

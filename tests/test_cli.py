@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicforms import cli, harness
+from cyclicforms import harness
 from cyclicforms.cli import build_parser, main
 from cyclicforms.counting import CyclicSubset
 from cyclicforms.forms import dilate_pair, four_ap, kernel_system, three_ap
@@ -468,72 +468,12 @@ def test_readme_command_lines_parse():
     assert not failing, failing
 
 
-def _readme_argvs():
-    for _, tokens in _readme_command_lines():
-        yield [t for t in tokens if not (t.startswith("[") and t.endswith("]"))]
-        yield [t.strip("[]") for t in tokens]
-
-
-_MORE_ARGVS = [
-    ["--se", "5", "min-sol", "--system", "s.json", "--alpha", "2/5", "--n", "13"],
-    ["min-sol", "--sy", "s.json", "--al", "1/3", "--n", "9", "--heur", "--se", "5", "--bu", "9"],
-    ["--o", "outdir", "--seed=4", "max-free", "--fam=f.json", "--n", "7", "--ignore-c"],
-    ["scan", "--system", "s.json", "--quantity", "m", "--moduli", "5", "--budget-ms", "9"],
-    ["nil", "build-periodic", "--model", "torus:m=2,s=2", "--q", "11", "--A", "1"],
-]
-
-
-def test_one_command_parser_gives_the_full_parsers_namespace():
-    argvs = [*_readme_argvs(), *_MORE_ARGVS]
-    assert set(cli._COMMANDS) <= {arg for argv in argvs for arg in argv}
-    for argv in argvs:
-        want = vars(build_parser().parse_args(argv))
-        command = next(arg for arg in argv if arg in cli._COMMANDS)
-        assert vars(build_parser(command).parse_args(argv)) == want, argv
-        assert vars(cli._parse(argv)) == want, argv
-        for other in set(cli._COMMANDS) - {command}:  # built without any other command
-            with pytest.raises(cli._Refused):
-                build_parser(other).parse_args(argv)
-    # an option value that names another command: the one-command parser
-    # for "scan" refuses, and the full parser reads the line
-    argv = ["--out", "scan", "kernelize", "--system", "s.json"]
-    assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
-    with pytest.raises(cli._Refused):
-        build_parser("scan").parse_args(argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"],
-        ["-h", "sol"],
-        ["sol", "--help"],
-        ["construct", "weyl", "-h"],
-        ["nil", "build-periodic", "--help"],
-        [],
-        ["bogus"],
-        ["--out"],
-        ["--out", "d"],
-        ["--seed", "x", "sol", "--system", "s.json", "--set", "a.txt"],
-        ["--budget-ms", "1", "scan", "--system", "s.json", "--quantity", "m", "--moduli", "5"],
-        ["sol", "--s", "s.json", "--set", "a.txt"],
-        ["min-sol", "--n", "5"],
-        ["min-sol", "--system", "s.json", "--alpha", "1/0", "--n", "5"],
-        ["min-sol", "--system", "s.json", "--alpha", "1/2", "--n", "5", "--exact", "--heuristic"],
-        ["gowers", "--set", "a.txt", "--function", "f.csv", "--d", "2"],
-        ["scan", "--system", "s.json", "--quantity", "z", "--moduli", "5"],
-        ["construct"],
-        ["construct", "bogus"],
-        ["reproduce", "--id", "x", "--extra"],
-    ],
-)
-def test_refused_command_lines_print_what_the_full_parser_prints(capsys, argv):
-    with pytest.raises(SystemExit) as want:
-        build_parser().parse_args(argv)
-    printed = capsys.readouterr()
-    with pytest.raises(SystemExit) as got:
-        main(argv)
-    assert (got.value.code, capsys.readouterr()) == (want.value.code, printed)
+def test_cached_parser_keeps_no_state_between_calls():
+    assert build_parser() is build_parser()
+    argv = ["min-sol", "--system", "s.json", "--alpha", "1/3", "--n", "9"]
+    first = vars(build_parser().parse_args(argv))
+    build_parser().parse_args(["--seed", "5", "--out", "d", *argv, "--heuristic", "--seed", "2"])
+    assert vars(build_parser().parse_args(argv)) == first
 
 
 def test_scan_alpha_out_of_range_is_an_input_error(capsys, system_file):
