@@ -1,7 +1,7 @@
 """Linear configurations in cyclic groups, made computable at desk scale.
 
 Solution measures of integer linear-form systems over Z/N (a
-definitional grid walk, a bit-packed exact count and an FFT fast path),
+definitional grid walk, an exact count on byte rows and an FFT fast path),
 Gowers uniformity norms, extremal solution counts and free densities
 with verified certificates, explicit free-set
 constructions, and an exact-rational engine for polynomial sequences on

@@ -6,15 +6,15 @@ There are three counting paths, and each is checked against another:
   visits (Z/N)^D through ``forms.configurations``, the one chunked
   enumerator of a system's configurations, multiplies the t values at
   each point and returns the exact integer count.  It shares no row code
-  with ``sol_count`` and is its oracle; ``has_configuration`` walks the
-  same grid.  Any other input gets a float average from the rows of
-  ``sol_count`` below, multiplied instead of packed; its oracle is the
-  defining average over every point, in the tests.
-- ``sol_count``, the bit-packed exact count for indicator sets: it
-  eliminates one variable, packs each slot's membership along it into
-  64-bit words, and counts the configurations with AND and popcount.
-  Every grid point is still tested, one bit each, so the count is exact.
-  Exact solvers and certificate checks use it.
+  with ``sol_count`` and is its oracle.  Any other input gets a float
+  average from the rows of ``sol_count`` below, multiplied and summed;
+  its oracle is the defining average over every point, in the tests.
+- ``sol_count``, the exact count for indicator sets: it eliminates one
+  variable, drops each prefix of the other variables whose constant
+  slots miss their sets, multiplies the remaining slots' 0/1 byte rows
+  along the eliminated variable and counts the nonzero bytes.  Every
+  grid point is still tested, so the count is exact.  Exact solvers,
+  certificate checks and ``has_configuration`` use it.
 - ``sol_fast``, the float dual sum over the kernel presentation with one
   DFT per slot; it has a documented 1e-9 tolerance, is checked against
   the float ``sol_brute``, and is never used inside exact solvers.
@@ -243,15 +243,6 @@ def _check_slots(fs: Sequence[CyclicFunction | CyclicSubset], system: LinearForm
     return moduli.pop()
 
 
-def _products(values: Sequence[np.ndarray], system: LinearFormSystem, n: int):
-    """Per chunk of the grid, the array prod_i values[i][psi_i(x)]."""
-    for phis in configurations(system, n, DEFAULT_BRUTE_CAP):
-        prod = values[0][phis[0]]
-        for vals, phi in zip(values[1:], phis[1:]):
-            prod *= vals[phi]
-        yield prod
-
-
 def sol_brute(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> SolutionMeasure:
     """Sol(f_1, ..., f_t) = E_{n in (Z/N)^D} prod_i f_i(psi_i(n)).
 
@@ -268,27 +259,24 @@ def sol_brute(fs: Sequence[CyclicFunction], system: LinearFormSystem) -> Solutio
     total = n**system.num_variables
     if all(f.is_indicator() for f in fs):
         inds = [f.values.real.astype(np.uint8) for f in fs]
-        count = sum(int(prod.sum()) for prod in _products(inds, system, n))
+        count = 0
+        for phis in configurations(system, n, DEFAULT_BRUTE_CAP):
+            prod = inds[0][phis[0]]
+            for ind, phi in zip(inds[1:], phis[1:]):
+                prod *= ind[phi]
+            count += int(prod.sum())
         return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
     real = not any(f.values.imag.any() for f in fs)
     slots, chunk, walk = _row_scheme(fs, lambda f: f.values.real if real else f.values, system, n)
-    # the product fills a buffer made once, so one gathered row is alive at a
-    # time: with two fresh chunk-sized arrays alive, glibc trimmed and
-    # re-faulted the heap top on every chunk (3x slower at N = 4093 in a fresh
-    # process)
     buffer = np.empty((chunk, n), dtype=slots[0][0].dtype)
     acc = 0.0 + 0.0j
     for bases in walk:
-        prod, scale = None, None
+        prod = _row_product(slots, bases, buffer)
+        sums = np.full(len(bases[0]), float(n)) if prod is None else prod.sum(axis=1)
+        scale = None
         for (table, source), base in zip(slots, bases):
             if source is None:
                 scale = table[base] if scale is None else scale * table[base]
-            elif prod is None:
-                prod = buffer[: len(base)]
-                np.copyto(prod, source(base))
-            else:
-                np.multiply(prod, source(base), out=prod)
-        sums = np.full(len(bases[0]), float(n)) if prod is None else prod.sum(axis=1)
         if scale is not None:
             sums = sums * scale
         acc += complex(sums.sum())
@@ -301,16 +289,6 @@ def _eliminated_column(system: LinearFormSystem, n: int) -> int:
         return sum(math.gcd(row[j] % n, n) == 1 for row in system.forms)
 
     return max(range(system.num_variables), key=units)
-
-
-def _pack(rows: np.ndarray, words: int) -> np.ndarray:
-    """Pack a (k, n) matrix of 0/1 bytes into (k, words) uint64, zero past column n."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    if packed.shape[1] != 8 * words:
-        padded = np.zeros((len(rows), 8 * words), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return packed.view(np.uint64)
 
 
 def _row_source(table: np.ndarray, c: int, n: int):
@@ -372,40 +350,58 @@ def _row_scheme(inputs: Sequence, table_of, system: LinearFormSystem, n: int):
     return slots, chunk, _walk(prefix_forms, d - 1, n, chunk)
 
 
+def _row_product(slots, bases: Sequence[np.ndarray], buffer: np.ndarray) -> np.ndarray | None:
+    """The product of the row slots' rows over a chunk of prefix bases, or None.
+
+    Slots with a source contribute their rows; constant slots (no source)
+    are left to the caller.  The product fills ``buffer``, made once per call,
+    so one gathered row is alive at a time: with two fresh chunk-sized
+    arrays alive, glibc trimmed and re-faulted the heap top on every chunk
+    (3x slower at N = 4093 in a fresh process).
+    """
+    prod = None
+    for (_, source), base in zip(slots, bases):
+        if source is None:
+            continue
+        if prod is None:
+            prod = buffer[: len(base)]
+            np.copyto(prod, source(base))
+        else:
+            np.multiply(prod, source(base), out=prod)
+    return prod
+
+
 def sol_count(
     sets: Sequence[CyclicSubset] | CyclicSubset,
     system: LinearFormSystem,
 ) -> SolutionMeasure:
     """Exact configuration count for indicator sets (one set, or one per slot).
 
-    On the rows of ``_row_scheme``, per prefix p slot i's membership is a
-    row of N bits, y -> 1_{A_i}(base_i(p) + c_i y), packed 64 to a word;
-    the count is sum_p popcount(AND_i row_i(p)).  Every grid point is
-    still tested, as one bit, so the count is exact.  ``DEFAULT_BRUTE_CAP``
-    applies to the full N^D grid and is checked before anything is allocated.
+    On the rows of ``_row_scheme``: a prefix p counts no configuration
+    unless every constant slot (c_i = 0 mod N) has base_i(p) in A_i, so the
+    other prefixes are dropped before any row is gathered.  Per remaining prefix
+    slot i's membership is a 0/1 byte row y -> 1_{A_i}(base_i(p) + c_i y);
+    the rows are multiplied and the count is the number of nonzero bytes.
+    Every grid point is still tested, so the count is exact.
+    ``DEFAULT_BRUTE_CAP`` applies to the full N^D grid and is checked
+    before anything is allocated.
     """
     if isinstance(sets, CyclicSubset):
         sets = [sets] * system.t
     n = _check_slots(sets, system)
-    slots, _, walk = _row_scheme(sets, CyclicSubset.indicator_array, system, n)
-    words = -(-n // 64)
+    slots, chunk, walk = _row_scheme(sets, CyclicSubset.indicator_array, system, n)
+    buffer = np.empty((chunk, n), dtype=np.uint8)
     count = 0
     for bases in walk:
-        hits, mask = None, None
+        live = None
         for (ind, source), base in zip(slots, bases):
             if source is None:
-                mask = ind[base] if mask is None else mask & ind[base]
-            elif hits is None:
-                hits = _pack(source(base), words)
-            else:
-                hits &= _pack(source(base), words)
-        if hits is None:
-            per_prefix = np.full(len(bases[0]), n, dtype=np.int64)
-        else:
-            per_prefix = np.bitwise_count(hits).sum(axis=1, dtype=np.int64)
-        if mask is not None:
-            per_prefix = per_prefix * mask
-        count += int(np.sum(per_prefix))
+                live = ind[base] if live is None else live & ind[base]
+        if live is not None:
+            keep = np.flatnonzero(live)
+            bases = [base[keep] for base in bases]
+        prod = _row_product(slots, bases, buffer)
+        count += n * len(bases[0]) if prod is None else int(np.count_nonzero(prod))
     total = n**system.num_variables
     return SolutionMeasure(value=complex(Fraction(count, total)), points=total, count=count)
 
@@ -416,14 +412,10 @@ def has_configuration(
 ) -> bool:
     """True iff some configuration of the system lands in the given sets.
 
-    Early-exits on the first hit, chunk by chunk.  BudgetExceeded when
-    N^D exceeds ``DEFAULT_BRUTE_CAP``.
+    The count of ``sol_count`` is positive.  BudgetExceeded when N^D
+    exceeds ``DEFAULT_BRUTE_CAP``.
     """
-    if isinstance(sets, CyclicSubset):
-        sets = [sets] * system.t
-    n = _check_slots(sets, system)
-    inds = [s.indicator_array() for s in sets]
-    return any(prod.any() for prod in _products(inds, system, n))
+    return sol_count(sets, system).count > 0
 
 
 def sol_fast(

@@ -60,9 +60,13 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)^x.  Requires gcd(a, n) = 1."""
+    """Order of a in (Z/n)^x, 1 in the trivial group at n = 1.  Requires gcd(a, n) = 1."""
     from math import gcd
 
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return 1
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")

@@ -351,26 +351,58 @@ def test_packed_count_matches_grid_walk(system, n, block, seed):
     assert (measure.count, measure.points, measure.value) == (brute.count, brute.points, brute.value)
 
 
+_D3 = LinearFormSystem(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))  # x_1 eliminated
+
+
 @pytest.mark.parametrize(
-    "system, n",
+    "system, n, empty_slot",
     [
-        (three_ap(), 100),  # the coefficient 2 is not a unit at even N
-        (kernel_system((1, 1, -3)), 2049),  # 3 divides N
-        (dilate_pair(2), 99991),  # D = 1: one row per slot
-        (three_ap(), 63),  # word edges
-        (three_ap(), 64),
-        (three_ap(), 65),
-        (LinearFormSystem(((2, 0), (0, 2), (2, 2))), 64),  # no unit column
-        (LinearFormSystem(((0, 2), (0, 2))), 256),  # every slot a mask; N above uint8
+        (three_ap(), 100, None),  # the coefficient 2 is not a unit at even N
+        (kernel_system((1, 1, -3)), 2049, None),  # 3 divides N
+        (dilate_pair(2), 99991, None),  # D = 1: one row per slot
+        (three_ap(), 63, None),
+        (three_ap(), 64, None),
+        (three_ap(), 65, None),
+        (LinearFormSystem(((2, 0), (0, 2), (2, 2))), 64, None),  # no unit column
+        (LinearFormSystem(((0, 2), (0, 2))), 256, None),  # every slot constant; N above uint8
+        (_D3, 30, None),  # two constant slots
+        (_D3, 30, 2),  # an empty constant slot: no prefix survives
+        (kernel_system((1, 1, -3)), 99, 2),
     ],
-    ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64", "masks-256"],
+    ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64", "masks-256",
+         "d3-30", "d3-30-no-prefix", "k113-99-no-prefix"],
 )
-def test_packed_count_pinned_cases(system, n):
+def test_packed_count_pinned_cases(system, n, empty_slot):
     rng = np.random.default_rng(n)
     single = _random_subset(rng, n)
     per_slot = [_random_subset(rng, n) for _ in range(system.t)]
+    if empty_slot is not None:
+        per_slot[empty_slot] = CyclicSubset.empty(n)
     assert sol_count(single, system).count == _brute_count([single] * system.t, system)
     assert sol_count(per_slot, system).count == _brute_count(per_slot, system)
+
+
+def test_sol_count_gathers_rows_only_where_the_constant_slots_hit(monkeypatch):
+    # a prefix (x_2, x_3) of _D3 counts nothing unless x_2 is in A_2 and x_3
+    # in A_3, so only those prefixes gather rows, once per row slot
+    rng = np.random.default_rng(7)
+    sets = [_random_subset(rng, 30) for _ in range(_D3.t)]
+    assert 0 < len(sets[1]) * len(sets[2]) < 30**2
+    gathered = []
+    row_source = counting._row_source
+
+    def counted_source(table, c, n):
+        source = row_source(table, c, n)
+
+        def rows(base):
+            gathered.append(len(base))
+            return source(base)
+
+        return rows
+
+    monkeypatch.setattr(counting, "_row_source", counted_source)
+    assert sol_count(sets, _D3).count == _brute_count(sets, _D3)
+    assert sum(gathered) == 2 * len(sets[1]) * len(sets[2])
 
 
 def _random_function(rng, n: int, complex_values: bool) -> CyclicFunction:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,24 @@ def test_primes_basics():
     assert smallest_prime_factor(2809) == 53  # 53^2
     assert smallest_prime_factor(3127) == 53  # 53 * 59
     assert multiplicative_order(2, 101) == 100
+    assert multiplicative_order(2, 1) == multiplicative_order(0, 1) == 1  # the trivial group
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplicative_order(2, 0), "n must be positive"),
+        (lambda: multiplicative_order(2, -5), "n must be positive"),
+        (lambda: is_prime(2**64 + 1), "primality test is deterministic only below 2**64"),
+        (lambda: smallest_prime_factor(0), "n must be positive"),
+    ],
+    ids=["order-zero-modulus", "order-negative-modulus", "prime-past-2^64", "spf-zero"],
+)
+def test_primes_input_error_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_primitive_root_is_the_least_generator():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -565,6 +566,29 @@ def test_prefiltration_flag_is_required():
         torus(2, 2, level_dims=(2, 1, 1))
 
 
+_LCS = heisenberg_lcs()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: binomial(5, -1), "k must be nonnegative"),
+        (lambda: PolynomialSequence(_LCS, (_LCS.identity(),) * 2), "need coefficients g_0..g_2"),
+        (
+            lambda: PolynomialSequence.identity(_LCS).pointwise_product(
+                PolynomialSequence.identity(torus(2, 2))
+            ),
+            "polynomials live on different models",
+        ),
+        (lambda: taylor_expand(_LCS, [_LCS.identity()] * 4), "need the values g(0)..g(2)"),
+    ],
+    ids=["binomial-negative-k", "coefficient-count", "different-models", "value-count"],
+)
+def test_poly_input_error_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -596,6 +620,16 @@ def test_character_complexity_and_value():
     assert xi.complexity == 3
     g = m.from_coords([Fraction(1, 3), Fraction(1, 6), 0])
     assert xi.value(m, g) == Fraction(2, 3) - Fraction(1, 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: annihilator_lattice(_LCS, 3), lambda: enumerate_characters(_LCS, 0, 5)],
+    ids=["annihilator-level", "enumerate-level"],
+)
+def test_character_level_range_messages(call):
+    with pytest.raises(ValueError, match=re.escape("level must be in [1, 2]")):
+        call()
 
 
 def test_annihilator_lattice():
