@@ -65,7 +65,10 @@ def _load_function_csv(path: str) -> CyclicFunction:
         if not line or line.lower().startswith("index"):
             continue
         idx_text, value_text = line.split(",")
-        rows[int(idx_text)] = float(value_text)
+        idx = int(idx_text)
+        if idx in rows:
+            raise ValueError(f"function CSV repeats index {idx}")
+        rows[idx] = float(value_text)
     n = len(rows)
     if sorted(rows) != list(range(n)):
         raise ValueError("function CSV must cover indices 0..N-1 exactly")

@@ -31,11 +31,12 @@ lengths take one real (or complex) FFT per row.
 
 Threading contract: ``gowers_norm`` runs the outermost level of the
 recursion on every CPU of the process's affinity mask (``taskset``
-restricts it), through one thread pool per process, made on first use.
-At U^3 the threads split each block's rows, by pairs where rows pack,
-and fill their slices of one block of buffers, so one block is in
-flight; at U^4 and above each thread takes a run of shifts h and
-recurses serially in a block of its own.
+restricts it).  A call that splits makes its own threads and joins them
+before it returns, so threads exist only during a call.  At U^3 the
+threads split each block's rows, by pairs where rows pack, and fill
+their slices of one block of buffers, so one block is in flight; at U^4
+and above each thread takes a run of shifts h and recurses serially in
+a block of its own.
 Every row and every h term is computed alone and the sums run in a fixed
 order, so the result is the same float for any number of CPUs.  Small
 levels (N^{d-1} < ``_SPLIT_POINTS`` or N < ``_SPLIT_N``) stay on the
@@ -48,7 +49,7 @@ Randomness contract: every seeded operation uses numpy's PCG64 generator
 from __future__ import annotations
 
 import os
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,26 +143,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-_pool_lock = threading.Lock()
-_pool = None  # (pid, ThreadPoolExecutor), made on the first parallel call
+@contextmanager
+def _threads(workers: int):
+    """``map`` on ``workers`` threads, joined when the block exits; the builtin ``map`` on one."""
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _map(fn, items: list) -> list:
-    """[fn(item) for item in items], on the module's thread pool when there are several.
-
-    The pool belongs to the process that made it: a forked child, which has
-    none of its parent's threads, makes its own.
-    """
-    if len(items) == 1:
-        return [fn(items[0])]
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (os.getpid(), ThreadPoolExecutor(len(items), thread_name_prefix="gowers"))
-        pool = _pool[1]
-    return list(pool.map(fn, items))
+    with ThreadPoolExecutor(workers, thread_name_prefix="gowers") as pool:
+        yield pool.map
 
 
 def _split(count: int, workers: int) -> list[slice]:
@@ -233,16 +224,17 @@ def _power_mean(values: np.ndarray, d: int, workers: int = 1, buffers=None) -> f
             return _u2_fourth_pairs(pairs, spec[cut], mags[cut])[: len(shifted)]
 
         step = width * len(prod)
-        for start in range(0, len(weights), step):
-            block = shifts[start : start + step]
-            cuts = _split(-(-len(block) // width), workers)
-            parts = [(block[width * cut.start : width * cut.stop], cut) for cut in cuts]
-            totals = np.concatenate(_map(rows, parts))
-            total += float(weights[start : start + step] @ totals)
+        with _threads(workers) as pmap:
+            for start in range(0, len(weights), step):
+                block = shifts[start : start + step]
+                cuts = _split(-(-len(block) // width), workers)
+                parts = [(block[width * cut.start : width * cut.stop], cut) for cut in cuts]
+                totals = np.concatenate(list(pmap(rows, parts)))
+                total += float(weights[start : start + step] @ totals)
         return total / n
 
     # each worker takes a run of h terms and recurses serially in its own
-    # block of buffers, so no task waits on the pool; terms add in h order
+    # block of buffers, so no task waits on another; terms add in h order
     def terms(cut: slice) -> list[float]:
         own = buffers or _u3_buffers(n, conj.dtype)
         return [
@@ -250,7 +242,8 @@ def _power_mean(values: np.ndarray, d: int, workers: int = 1, buffers=None) -> f
             for h in range(cut.start, cut.stop)
         ]
 
-    runs = _map(terms, _split(len(weights), workers))
+    with _threads(workers) as pmap:
+        runs = list(pmap(terms, _split(len(weights), workers)))
     for weight, term in zip(weights.tolist(), [term for run in runs for term in run]):
         total += weight * term
     return total / n

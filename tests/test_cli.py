@@ -78,6 +78,23 @@ def test_gowers_function_csv_rejects_nan(capsys, tmp_path):
     assert captured.err == "error: values must lie in the unit disc\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,0.5\n1,0.25\n1,0.75\n", "function CSV repeats index 1"),
+        ("index,value\n0,0.5\n0,0.5\n1,0.5\n", "function CSV repeats index 0"),
+    ],
+    ids=["repeated-index", "repeated-row"],
+)
+def test_bad_function_csv_is_an_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    code = main(["gowers", "--function", str(path), "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("inputs", [["--set", "{set}", "--function", "{fn}"], []], ids=["both", "neither"])
 def test_gowers_needs_exactly_one_input(capsys, set_file, tmp_path, inputs):
     path = tmp_path / "f.csv"

@@ -307,7 +307,7 @@ def test_l1_controls_sol_difference():
         assert gap <= l * l1_deviation(f, g) + 1e-12
 
 
-def test_has_configuration_early_exit():
+def test_has_configuration_on_small_sets():
     system = dilate_pair(2)
     assert not has_configuration(CyclicSubset(7, (1,)), system)
     assert has_configuration(CyclicSubset(7, (1, 2)), system)
@@ -339,7 +339,7 @@ def _systems(draw):
 
 @given(_systems(), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_packed_count_matches_grid_walk(system, n, block, seed):
+def test_sol_count_matches_grid_walk(system, n, block, seed):
     # coefficients up to 9 in size give zero, non-unit and all-zero columns
     # mod n; a small row block splits the prefix walk mid-grid
     rng = np.random.default_rng(seed)
@@ -372,7 +372,7 @@ _D3 = LinearFormSystem(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))  # x_1 elim
     ids=["3ap-100", "k113-2049", "x2x-99991", "3ap-63", "3ap-64", "3ap-65", "no-unit-64", "masks-256",
          "d3-30", "d3-30-no-prefix", "k113-99-no-prefix"],
 )
-def test_packed_count_pinned_cases(system, n, empty_slot):
+def test_sol_count_pinned_cases(system, n, empty_slot):
     rng = np.random.default_rng(n)
     single = _random_subset(rng, n)
     per_slot = [_random_subset(rng, n) for _ in range(system.t)]

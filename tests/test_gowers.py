@@ -178,6 +178,28 @@ def test_cpu_count_falls_back_where_there_is_no_affinity_mask(monkeypatch):
     assert gowers._cpu_count() == 3
 
 
+def _gowers_threads() -> list[str]:
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("gowers")]
+
+
+@pytest.mark.parametrize("n, d", [(401, 3), (173, 4)])
+def test_no_thread_outlives_a_split_call(n, d):
+    f = _drawn_function(n, False, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gowers, "_cpu_count", lambda: 2)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        mp.setattr(threading.Thread, "start", counted_start)
+        gowers_norm(f, d)
+    assert any(name.startswith("gowers") for name in started)  # the call did split
+    assert _gowers_threads() == []
+
+
 def _u3_in_child(f, results):
     results.put(gowers_norm(f, 3).hex())
 
@@ -190,12 +212,13 @@ def test_forked_child_makes_its_own_pool():
     f = _drawn_function(401, False, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gowers, "_cpu_count", lambda: 2)
-        want = gowers_norm(f, 3).hex()  # the parent's pool now exists
-        assert gowers._pool is not None
+        want = gowers_norm(f, 3).hex()
+        assert _gowers_threads() == []  # the fork copies no worker of the parent's call
         results = ctx.Queue()
         child = ctx.Process(target=_u3_in_child, args=(f, results))
         with warnings.catch_warnings():
-            # Python 3.12 warns about forking a process that has threads
+            # Python 3.12 warns about forking a process that has OS threads,
+            # and numpy's BLAS starts some at import wherever it has several CPUs
             warnings.simplefilter("ignore", DeprecationWarning)
             child.start()
         try:
@@ -224,7 +247,6 @@ def test_concurrent_callers_get_the_serial_answers():
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gowers, "_cpu_count", lambda: 3)
-            mp.setattr(gowers, "_pool", None)  # callers race to make the pool
             threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
             for thread in threads:
                 thread.start()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cyclicforms.forms import RationalSpan
 from cyclicforms.nil import (
+    FactorizationError,
     FilteredNilmanifoldModel,
     LevelCharacter,
     OutsideGroupError,
@@ -339,6 +340,7 @@ def _unit(kappa, i, j):
 
 
 _X, _Y, _Z = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 0, 2)
+_LCS, _T22 = heisenberg_lcs(), torus(2, 2)
 
 
 @pytest.mark.parametrize(
@@ -365,6 +367,70 @@ _X, _Y, _Z = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 0, 2)
 def test_model_validation_messages(kappa, basis, level_dims, message):
     with pytest.raises(ValueError, match=message):
         FilteredNilmanifoldModel(kappa=kappa, basis=basis, level_dims=level_dims)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: UnitriangularElement([[1, 0]]), ValueError, "matrix must be square"),
+        (lambda: UnitriangularElement([[1, 0], [1, 1]]), ValueError, "must be unitriangular"),
+        (lambda: _LCS.identity().root(0), ValueError, "zeroth root"),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _Y, _Z), (3,)),
+            ValueError,
+            "need level dimensions m_0, m_1, ..., m_s",
+        ),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _Y, _Z), (2, 2, 1)),
+            ValueError,
+            "m_0 must equal the basis size",
+        ),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _Y, _Z), (3, 3, 1, 2)),
+            ValueError,
+            "level dimensions must be non-increasing",
+        ),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _Y, _Z), (3, 3, 0)),
+            ValueError,
+            "G_s must be nontrivial (drop empty levels)",
+        ),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _unit(2, 0, 1)), (2, 2)),
+            ValueError,
+            "basis matrices must be kappa x kappa",
+        ),
+        (
+            lambda: FilteredNilmanifoldModel(3, (_X, _unit(3, 1, 0)), (2, 2)),
+            ValueError,
+            "basis matrices must be strictly upper-triangular",
+        ),
+        (lambda: _LCS.level_dim(-1), ValueError, "levels start at 0"),
+        (lambda: _LCS.from_coords([0, 0]), ValueError, "need 3 coordinates"),
+        (
+            lambda: _LCS.malcev_coords(UnitriangularElement.identity(4)),
+            OutsideGroupError,
+            "wrong matrix dimension",
+        ),
+        (lambda: _LCS.from_level_coords(1, [1]), ValueError, "level 1 block has rank 2"),
+        (
+            lambda: FilteredNilmanifoldModel.from_json(
+                _LCS.to_json().replace('"degree": 2', '"degree": 3')
+            ),
+            ValueError,
+            "degree must match levelDims length minus one",
+        ),
+        (lambda: torus(0, 2), ValueError, "need m >= 1 and s >= 1"),
+        (lambda: torus(2, 2, level_dims=(2, 2)), ValueError, "level_dims must list m_0..m_s"),
+    ],
+    ids=["not-square", "not-unitriangular", "zeroth-root", "one-level-dim", "m0-not-basis-size",
+         "increasing-dims", "trivial-top-level", "basis-shape", "basis-not-upper",
+         "negative-level", "coordinate-count", "element-dimension", "block-rank", "json-degree",
+         "torus-size", "torus-level-dims"],
+)
+def test_model_input_error_messages(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_bracket_coords_match_commutators_in_both_orders():
@@ -566,9 +632,6 @@ def test_prefiltration_flag_is_required():
         torus(2, 2, level_dims=(2, 1, 1))
 
 
-_LCS = heisenberg_lcs()
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -623,12 +686,22 @@ def test_character_complexity_and_value():
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda: annihilator_lattice(_LCS, 3), lambda: enumerate_characters(_LCS, 0, 5)],
-    ids=["annihilator-level", "enumerate-level"],
+    "call, error, message",
+    [
+        (lambda: annihilator_lattice(_LCS, 3), ValueError, "level must be in [1, 2]"),
+        (lambda: enumerate_characters(_LCS, 0, 5), ValueError, "level must be in [1, 2]"),
+        # no q to vouch for the hypotheses: the first violated character (-2,)
+        # takes the value -1 at t = 1/2, and 2 does not divide -1
+        (
+            lambda: factor_coefficient(_T22, 1, _T22.from_level_coords(1, [Fraction(1, 2)]), 2),
+            FactorizationError,
+            "hcf(-2,) does not divide xi(g_i) = -1",
+        ),
+    ],
+    ids=["annihilator-level", "enumerate-level", "hcf-does-not-divide"],
 )
-def test_character_level_range_messages(call):
-    with pytest.raises(ValueError, match=re.escape("level must be in [1, 2]")):
+def test_character_input_error_messages(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 
@@ -760,8 +833,6 @@ def test_factor_coefficient_errors():
     m = heisenberg_lcs()
     q = 997
     irr = m.from_coords([Fraction(1, q), Fraction(3, q), 0])
-    from cyclicforms.nil import FactorizationError
-
     with pytest.raises(FactorizationError):
         factor_coefficient(m, 1, irr, 2, q=q)
     with pytest.raises(FactorizationError):

@@ -172,6 +172,21 @@ def test_character_sum_trivial_and_geometric():
         character_sum(linear, xi, 5)
 
 
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        (LevelCharacter(level=2, frequency=(1,)), "taken against level-1 characters"),
+        (LevelCharacter(level=1, frequency=(1, 0)), "does not match the level-1 block"),
+    ],
+    ids=["level-2", "frequency-length"],
+)
+def test_character_sum_input_error_messages(xi, message):
+    t = torus(1, 1)
+    linear = PolynomialSequence(t, (t.identity(), t.from_coords([Fraction(2, 7)])))
+    with pytest.raises(ValueError, match=message):
+        character_sum(linear, xi, 7)
+
+
 def test_vertical_sum_constant_orbit():
     m = heisenberg_lcs()
     constant = PolynomialSequence(m, (m.identity(), m.identity(), m.identity()))
