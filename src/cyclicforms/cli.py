@@ -60,15 +60,20 @@ def _load_model(name_or_path: str) -> FilteredNilmanifoldModel:
 
 def _load_function_csv(path: str) -> CyclicFunction:
     rows = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.lower().startswith("index"):
             continue
-        idx_text, value_text = line.split(",")
-        idx = int(idx_text)
+        try:
+            idx_text, value_text = line.split(",")
+            idx, value = int(idx_text), float(value_text)
+        except ValueError:
+            raise ValueError(
+                f"function CSV line {number} is not an integer index and a number: {line!r}"
+            ) from None
         if idx in rows:
             raise ValueError(f"function CSV repeats index {idx}")
-        rows[idx] = float(value_text)
+        rows[idx] = value
     n = len(rows)
     if sorted(rows) != list(range(n)):
         raise ValueError("function CSV must cover indices 0..N-1 exactly")

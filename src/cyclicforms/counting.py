@@ -194,12 +194,33 @@ class CyclicSubset:
 
     @classmethod
     def from_text(cls, text: str) -> "CyclicSubset":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("N "):
+        """The set of a set file: a line "N <modulus>", then one member a line, in any order.
+
+        Blank lines are skipped.  A line that is not an integer is named by
+        its 1-based number; a repeated member is named by its value.
+        """
+        rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not rows or not rows[0].startswith("N "):
             raise ValueError('set files start with a line "N <modulus>"')
-        modulus = int(lines[0][2:])
-        members = tuple(int(ln) for ln in lines[1:])
-        return cls(modulus, tuple(sorted(members)))
+        try:
+            modulus = int(rows[0][2:])
+            members = [int(ln) for ln in rows[1:]]
+        except ValueError:
+            numbered = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+            for k, line in [(numbered[0][0], numbered[0][1][2:].strip()), *numbered[1:]]:
+                try:
+                    int(line)
+                except ValueError:
+                    raise ValueError(f"set file line {k}: expected an integer, got {line!r}") from None
+            raise
+        unique = set(members)
+        if len(unique) < len(members):
+            seen = set()
+            for x in members:
+                if x in seen:
+                    raise ValueError(f"set file repeats member {x}")
+                seen.add(x)
+        return cls(modulus, tuple(sorted(unique)))
 
     @classmethod
     def load(cls, path) -> "CyclicSubset":

@@ -6,9 +6,9 @@ through the exact counter ``sol_count`` before returning; heuristic
 solvers anneal from a seed, tracking bit-sliced counts, one bit per
 distinct configuration weighted by its multiplicity, over a set-up cached
 per (system, N), and re-verify their certificate-backed bounds too.
-The annealing move loop calls no Python function: it replays numpy's
-scalar draws inline on raw PCG64 words, taken with ``next`` from one lazy
-iterator over fetched blocks, and reads one cached temperature table.
+The annealing move loop reads numpy's scalar draws from lists computed
+in numpy for a block of raw PCG64 words at a time, and one cached
+temperature table.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -184,7 +184,7 @@ def max_sol_exact(system: LinearFormSystem, alpha, n: int) -> ExtremalResult:
 # annealing
 
 
-_RAW_BLOCK = 1024  # PCG64 words fetched per random_raw call
+_RAW_BLOCK = 1024  # PCG64 words drawn, and their draws computed, per block
 _T0, _COOLING, _T_FLOOR = 0.08, 0.999, 1e-6  # temperature max(T0 * COOLING**step, T_FLOOR)
 
 
@@ -195,6 +195,48 @@ def _temperatures() -> tuple[float, ...]:
     while (t := _T0 * _COOLING ** len(table)) > _T_FLOOR:
         table.append(t)
     return tuple(table)
+
+
+def _lemire(halves: np.ndarray, k: int) -> list[int]:
+    """Lemire's ``integers(k)`` on each uint32 of halves, -1 where it rejects, then one -1.
+
+    ``integers(1)`` draws no word, so for k = 1 every entry is -1.
+    """
+    if k == 1:
+        return [-1] * (len(halves) + 1)
+    m = halves * np.uint64(k)
+    draws = (m >> 32).astype(np.int64)
+    draws[m & 0xFFFFFFFF < (1 << 32) % k] = -1  # 2^32 mod k is numpy's (2^32 - k) % k
+    draws = draws.tolist()
+    draws.append(-1)
+    return draws
+
+
+def _draw_block(bitgen, carry, moves: int, n_in: int, n_out: int):
+    """The raw words ``[carry]`` + fresh PCG64 words, and what each one draws.
+
+    The fresh words are ``_RAW_BLOCK``, or fewer when ``moves`` moves
+    without a rejection read no more.  Returns ``(raw, i_low, j_high,
+    i_high, j_low, doubles)``, indexed by word.  Word w read with no half
+    word buffered gives i = i_low[w] from its low half and j = j_high[w]
+    from its high half.  Read with a half buffered, it gives j = j_low[w]
+    and buffers its high half, from which the next move takes
+    i = i_high[w].  doubles[w] is ``next_double``.  Each draw list ends
+    with a -1 one past the last word.
+    """
+    size = min(_RAW_BLOCK, 2 * moves + 1)
+    raw = np.empty(size + 1, dtype=np.uint64)
+    raw[0] = carry
+    raw[1:] = bitgen.random_raw(size)
+    low, high = raw & 0xFFFFFFFF, raw >> 32
+    return (
+        raw,
+        _lemire(low, n_in),
+        _lemire(high, n_out),
+        _lemire(high, n_in),
+        _lemire(low, n_out),
+        ((raw >> 11) * 2.0**-53).tolist(),
+    )
 
 
 def _bitsets(flags: np.ndarray) -> list[int]:
@@ -266,15 +308,22 @@ def _anneal(
     about half as many bits for 3AP.  On accept a borrow (x_in) and a carry
     (x_out) ripple up the digits until they die.
 
-    A move calls no Python function.  Its draws replay inline what
-    scalar ``rng.integers(k)`` and ``rng.random()`` would give: numpy's
-    ``next_uint32`` with its half-word buffer, Lemire's bounded draw
-    (``integers(1)`` draws nothing) and ``next_double``, drawn only uphill.
-    Each takes its raw PCG64 word with ``next(words)`` from one lazy
-    iterator that fetches ``_RAW_BLOCK`` words at a time.  Temperatures
-    come from ``_temperatures()``.  The schedule depends only on the move
-    index, so doubling the budget extends the same trajectory: best-so-far
-    is monotone in the budget at fixed seed.
+    Draws replay what scalar ``rng.integers(k)`` and ``rng.random()``
+    would give: numpy's ``next_uint32`` with its half-word buffer,
+    Lemire's bounded draw (``integers(1)`` draws nothing) and
+    ``next_double``, drawn only uphill.  Without a rejection a move's i and
+    j take one raw PCG64 word between them, and leave the buffer as it was:
+    empty, the word's low half gives i and its high half j; holding a half,
+    that half gives i, the word's low half j, and its high half stays.  So
+    ``_draw_block`` computes, in numpy, each word's draws for both cases
+    and its ``next_double`` for blocks of ``_RAW_BLOCK`` words, and a move
+    reads them from lists by word index.  A draw Lemire would reject, and
+    ``integers(1)``, read -1; that move replays the scalar draws word by
+    word, which may also fill or empty the buffer.  The lists hold one
+    block at a time, whatever the budget.  Temperatures come from
+    ``_temperatures()``.  The schedule depends only on the move index, so
+    doubling the budget extends the same trajectory: best-so-far is
+    monotone in the budget at fixed seed.
     """
     if moves < 0:
         raise ValueError(f"the move budget must be non-negative, got {moves}")
@@ -299,44 +348,69 @@ def _anneal(
 
     bitgen = rng.bit_generator
     state = bitgen.state
-    half = state["uinteger"] if state["has_uint32"] else -1  # -1: no buffered half word
-    words = chain.from_iterable(iter(lambda: bitgen.random_raw(_RAW_BLOCK).tolist(), None))
+    buffered = bool(state["has_uint32"])
     n_in, n_out = len(members), len(outside)
     # Lemire's integers(k) keeps m = uint32 * k once m's low word is >= 2^32 mod k
     low_in, low_out = (1 << 32) % n_in, (1 << 32) % n_out
+    # p is the next word to read and q the last one a move's i and j read,
+    # whose high half is the buffered half word if there is one.  Word 0 of
+    # a block carries the last block's word q, or the state's buffered half.
+    raw, i_low, j_high, i_high, j_low, doubles = _draw_block(
+        bitgen, np.uint64(state["uinteger"] << 32 if buffered else 0), moves, n_in, n_out
+    )
+    p, q, end = 1, 0, len(raw)
     temperatures = _temperatures()
-    cooled, n_digits = len(temperatures), len(digit)
+    cooled, t_floor, exp = len(temperatures), _T_FLOOR, math.exp
+    degree = [sign * d for d in degree]  # sign folded in: change below is sign * Δ(count)
+    w_max, runs = sign * w_max, [(sign * dw, run) for dw, run in runs]
+    n_digits = len(digit)
     for step in range(moves):
-        i = 0
-        while n_in > 1:
-            if half < 0:
-                w = next(words)
-                m, half = (w & 0xFFFFFFFF) * n_in, w >> 32
-            else:
-                m, half = half * n_in, -1
-            if m & 0xFFFFFFFF >= low_in:
-                i = m >> 32
-                break
-        j = 0
-        while n_out > 1:
-            if half < 0:
-                w = next(words)
-                m, half = (w & 0xFFFFFFFF) * n_out, w >> 32
-            else:
-                m, half = half * n_out, -1
-            if m & 0xFFFFFFFF >= low_out:
-                j = m >> 32
-                break
+        if buffered:
+            i, j = i_high[q], j_low[p]
+        else:
+            i, j = i_low[p], j_high[p]
+        if (i | j) >= 0:
+            q = p
+            p += 1
+        else:  # a rejection, integers(1) or the block's end: replay the scalar draws
+            half = int(raw[q]) >> 32 if buffered else -1
+            drawn = []
+            for k, low in ((n_in, low_in), (n_out, low_out)):
+                draw = 0
+                while k > 1:
+                    if half < 0:
+                        if p == end:
+                            raw, i_low, j_high, i_high, j_low, doubles = _draw_block(
+                                bitgen, raw[q], moves - step, n_in, n_out
+                            )
+                            p, end = 1, len(raw)
+                        w, q = int(raw[p]), p
+                        p += 1
+                        m, half = (w & 0xFFFFFFFF) * k, w >> 32
+                    else:
+                        m, half = half * k, -1
+                    if m & 0xFFFFFFFF >= low:
+                        draw = m >> 32
+                        break
+                drawn.append(draw)
+            i, j = drawn
+            buffered = half >= 0
         x_out, x_in = members[i], outside[j]
         z_out, z_in = uses[x_out], uses[x_in]
         moved = (z_out & occupied) | (z_in & single)
         change = w_max * moved.bit_count() - degree[x_out]
         for dw, run in runs:
             change -= dw * (moved & run).bit_count()
-        change *= sign
         if change > 0:
-            t = temperatures[step] if step < cooled else _T_FLOOR
-            if (next(words) >> 11) * 2.0**-53 >= math.exp(-(change / total) / t):
+            if p == end:
+                raw, i_low, j_high, i_high, j_low, doubles = _draw_block(
+                    bitgen, raw[q], moves - step, n_in, n_out
+                )
+                p, q, end = 1, 0, len(raw)
+            u = doubles[p]
+            p += 1
+            t = temperatures[step] if step < cooled else t_floor
+            if u >= exp(-(change / total) / t):
                 continue
         members[i], outside[j] = x_in, x_out
         mask ^= (1 << x_out) | (1 << x_in)
@@ -352,10 +426,13 @@ def _anneal(
             digit[k] = d ^ carry
             carry &= d
             k += 1
-        high, k = 0, 1
-        while k < n_digits:
-            high |= digit[k]
-            k += 1
+        if n_digits == 2:
+            high = digit[1]
+        else:
+            high, k = 0, 1
+            while k < n_digits:
+                high |= digit[k]
+                k += 1
         occupied = digit[0] | high
         single = occupied ^ high
         if energy < best_energy:

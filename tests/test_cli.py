@@ -83,8 +83,15 @@ def test_gowers_function_csv_rejects_nan(capsys, tmp_path):
     [
         ("0,0.5\n1,0.25\n1,0.75\n", "function CSV repeats index 1"),
         ("index,value\n0,0.5\n0,0.5\n1,0.5\n", "function CSV repeats index 0"),
+        ("0,0.5\n1,0.5,1\n",
+         "function CSV line 2 is not an integer index and a number: '1,0.5,1'"),
+        ("index,value\n0,0.5\n\n1\n",
+         "function CSV line 4 is not an integer index and a number: '1'"),
+        ("x,0.5\n", "function CSV line 1 is not an integer index and a number: 'x,0.5'"),
+        ("0,0.5\n1,half\n", "function CSV line 2 is not an integer index and a number: '1,half'"),
     ],
-    ids=["repeated-index", "repeated-row"],
+    ids=["repeated-index", "repeated-row", "too-many-fields", "too-few-fields",
+         "non-integer-index", "non-numeric-value"],
 )
 def test_bad_function_csv_is_an_input_error(capsys, tmp_path, text, message):
     path = tmp_path / "f.csv"
@@ -93,6 +100,15 @@ def test_bad_function_csv_is_an_input_error(capsys, tmp_path, text, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_bad_set_file_is_an_input_error(capsys, system_file, tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("N 5\n0\n1\n1\n")
+    code = main(["sol", "--system", system_file, "--set", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: set file repeats member 1\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("inputs", [["--set", "{set}", "--function", "{fn}"], []], ids=["both", "neither"])

@@ -139,6 +139,28 @@ def test_subset_file_round_trip(tmp_path):
         CyclicSubset.from_text("3\n1\n2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n1\n2\n", 'set files start with a line "N <modulus>"'),
+        ("N five\n1\n", "set file line 1: expected an integer, got 'five'"),
+        ("N 5\n1\n\n2.0\n", "set file line 4: expected an integer, got '2.0'"),
+        ("N 5\n3\n1\n3\n", "set file repeats member 3"),
+        ("N 5\n1\n6\n", "members must lie in [0, N)"),
+        ("N 0\n", "modulus must be positive"),
+    ],
+    ids=["no-header", "bad-modulus", "non-integer-member", "repeated-member", "outside", "zero"],
+)
+def test_bad_set_file_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        CyclicSubset.from_text(text)
+    assert str(exc.value) == message
+
+
+def test_set_file_members_need_not_be_sorted():
+    assert CyclicSubset.from_text("N 7\n\n5\n0\n 3 \n") == CyclicSubset(7, (0, 3, 5))
+
+
 def test_subset_membership_wraps_like_modular_lookup():
     for a in (
         CyclicSubset(11, (0, 3, 7, 10)),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -236,7 +237,8 @@ def _replay_draws(rng, block=1024):
     loop (``integers(1)`` draws nothing), and ``next_double`` =
     (w >> 11) * 2^-53.  Words are pulled ``block`` at a time through
     ``random_raw``, so rng itself runs ahead of the replay and must not be
-    drawn from afterwards.  The reference for ``_anneal``'s inline draws.
+    drawn from afterwards.  The reference for the draws ``_anneal`` reads
+    from word blocks.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
@@ -360,14 +362,16 @@ class _CraftedBits:
     """Raw PCG64(seed) words with the low half of every third word zeroed.
 
     A zero half word makes Lemire's draw reject for every k that is not a
-    power of two.  The state holds a buffered half word, zero for odd seeds,
-    so the first draw of a run may reject too.
+    power of two.  For seeds below 100 the state holds a buffered half
+    word, zero for odd seeds, so the first draw of a run may reject too.
+    From seed 100 on nothing is buffered, so the run starts on word 0,
+    whose low half is zero.
     """
 
     def __init__(self, seed):
         self._pcg = np.random.PCG64(seed)
         self._served = 0
-        self.state = {"has_uint32": 1, "uinteger": 0 if seed % 2 else 0x9E3779B9}
+        self.state = {"has_uint32": int(seed < 100), "uinteger": 0 if seed % 2 else 0x9E3779B9}
 
     def random_raw(self, size):
         words = self._pcg.random_raw(size)
@@ -391,15 +395,44 @@ def test_anneal_matches_reference_on_crafted_draws(monkeypatch, system):
     # Sizes 1 and N - 1 draw integers(1), which takes no word.  Seed 16 starts
     # size 1 at {0}, the one singleton holding a kernel configuration, so the
     # first move of a minimizing run depends on where the next draw starts.
-    # At N = 61 the best set still improves after step 11,285, where the
-    # temperature reaches its floor; at N = 5 and 12 it is found long before.
+    # Seeds 100 and 101 start with no half word buffered.  At N = 61 the best
+    # set still improves after step 11,285, where the temperature reaches its
+    # floor; at N = 5 and 12 it is found long before.
     for n, sizes, moves in ((5, (1, 2, 3, 4), 3000), (12, (1, 5, 7, 11), 3000), (61, (24,), 16_000)):
         for size in sizes:
-            for seed in (0, 1, 2, 3, 16):
+            for seed in (0, 1, 2, 3, 16, 100, 101):
                 for minimize in (True, False):
                     got = _anneal(system, n, size, seed, moves, minimize)
                     want = _one_hot_anneal(system, n, size, seed, moves, minimize)
                     assert got == want, (n, size, seed, minimize)
+
+
+@pytest.mark.parametrize("minimize", [True, False], ids=["min", "max"])
+def test_anneal_matches_reference_over_many_word_blocks(minimize):
+    # 50,000 moves read nearly 100,000 words here, in about ninety blocks of draws
+    system, n = three_ap(), 61
+    size = (2 * n) // 5
+    got = _anneal(system, n, size, 5, 50_000, minimize)
+    assert got == _one_hot_anneal(system, n, size, 5, 50_000, minimize)
+
+
+def test_anneal_memory_does_not_grow_with_the_budget():
+    # the draws live one block at a time; a list with one entry per move
+    # would add 800 KB at 10^5 moves.  (x, 2x) at N = 5 keeps the traced
+    # moves cheap: tracemalloc slows each move about twentyfold.
+    system = dilate_pair(2)
+    _anneal(system, 5, 2, 0, 10, True)  # the set-up and temperature caches
+
+    def peak(moves):
+        tracemalloc.start()
+        try:
+            _anneal(system, 5, 2, 0, moves, True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**3), peak(10**5)
+    assert large <= small + 32 * 1024, (small, large)
 
 
 def test_temperature_table_stops_at_the_floor():
