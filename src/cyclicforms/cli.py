@@ -255,7 +255,14 @@ def cmd_scan(args) -> int:
     if args.run_seed is not None and args.mode != "heuristic":
         raise ValueError("--seed applies only with --mode heuristic")
     system = LinearFormSystem.load(args.system)
-    moduli = [int(x) for x in args.moduli.split(",") if x.strip()]
+    moduli = []
+    for entry in filter(str.strip, args.moduli.split(",")):
+        try:
+            moduli.append(int(entry))
+        except ValueError:
+            raise ValueError(
+                f"--moduli takes comma-separated integers, got {entry.strip()!r}"
+            ) from None
     records, csv_text = scan_convergence(
         system,
         args.quantity,

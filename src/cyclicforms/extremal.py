@@ -8,7 +8,13 @@ distinct configuration weighted by its multiplicity, over a set-up cached
 per (system, N), and re-verify their certificate-backed bounds too.
 The annealing move loop reads numpy's scalar draws from lists computed
 in numpy for a block of raw PCG64 words at a time, and one cached
-temperature table.
+temperature table.  Where no configuration has more than four distinct
+vertices (3AP, 4AP, every system of at most four forms) an accepted
+swap updates the counts' two low digits in straight-line code: they
+hold each count mod 4, and every count the energy reads is below 4
+(through the vertex leaving the set) or is 1..4, where mod 4 still
+tells 1 apart (through the vertex joining it).  Wider configurations
+ripple a borrow and a carry over all the digits.
 
 The branch and bound behind ``max_free_density_exact`` bounds a candidate
 set by its size minus a greedy count of pairwise vertex-disjoint forbidden
@@ -305,8 +311,15 @@ def _anneal(
     through x_out.  Every grid point of one mask has the mask's outside
     count, so weighting each mask by its multiplicity (``_anneal_setup``'s
     weight) gives the integer a recount over the repeated grid gives, on
-    about half as many bits for 3AP.  On accept a borrow (x_in) and a carry
-    (x_out) ripple up the digits until they die.
+    about half as many bits for 3AP.  On accept the counts through x_in
+    drop by one and those through x_out rise by one.  When top, the most
+    vertices of one mask, is at most 4, two digits ``d0`` and ``d1`` take
+    the update in straight-line code, with the borrow read from the new
+    d0 and the carry from the d0 before x_out's update.  They hold each
+    count mod 4, and that is exact where it is read: a count through
+    x_out, in the set, is at most top - 1 <= 3, and a count through x_in,
+    outside it, lies in 1..top and is 1 mod 4 only at 1.  For top >= 5 a
+    borrow and a carry ripple up all the digits until they die.
 
     Draws replay what scalar ``rng.integers(k)`` and ``rng.random()``
     would give: numpy's ``next_uint32`` with its half-word buffer,
@@ -364,6 +377,8 @@ def _anneal(
     degree = [sign * d for d in degree]  # sign folded in: change below is sign * Δ(count)
     w_max, runs = sign * w_max, [(sign * dw, run) for dw, run in runs]
     n_digits = len(digit)
+    two_digits = top <= 4  # d0 and d1 hold every count mod 4, and every count read is exact
+    d0, d1 = digit[0], digit[1] if n_digits > 1 else 0
     for step in range(moves):
         if buffered:
             i, j = i_high[q], j_low[p]
@@ -415,26 +430,31 @@ def _anneal(
         members[i], outside[j] = x_in, x_out
         mask ^= (1 << x_out) | (1 << x_in)
         energy += change
-        borrow, k = z_in, 0  # x_in joins the set: the counts through it drop by one
-        while borrow:
-            digit[k] = d = digit[k] ^ borrow
-            borrow &= d
-            k += 1
-        carry, k = z_out, 0  # x_out leaves: the counts through it rise by one
-        while carry:
-            d = digit[k]
-            digit[k] = d ^ carry
-            carry &= d
-            k += 1
-        if n_digits == 2:
-            high = digit[1]
+        if two_digits:  # x_in joins (counts drop by one), x_out leaves (counts rise by one)
+            d0 ^= z_in
+            d1 ^= z_in & d0  # borrow where d0 turned 1
+            d1 ^= z_out & d0  # carry where d0 is still 1
+            d0 ^= z_out
+            occupied = d0 | d1
+            single = occupied ^ d1
         else:
+            borrow, k = z_in, 0  # x_in joins the set: the counts through it drop by one
+            while borrow:
+                digit[k] = d = digit[k] ^ borrow
+                borrow &= d
+                k += 1
+            carry, k = z_out, 0  # x_out leaves: the counts through it rise by one
+            while carry:
+                d = digit[k]
+                digit[k] = d ^ carry
+                carry &= d
+                k += 1
             high, k = 0, 1
             while k < n_digits:
                 high |= digit[k]
                 k += 1
-        occupied = digit[0] | high
-        single = occupied ^ high
+            occupied = digit[0] | high
+            single = occupied ^ high
         if energy < best_energy:
             best_energy, best_mask = energy, mask
     return best_mask, sign * best_energy

@@ -98,12 +98,13 @@ def scan_convergence(
     "prime-floor"), when the cumulative wall time has passed
     ``budget_ms`` (reason "time"), or when its computation raises
     BudgetExceeded (reason "budget").  Any other error propagates.  An
-    unknown quantity or mode, an alpha outside [0, 1] for m or M, or
-    ``ignore_constant`` with m or M, raises ValueError before the first
-    modulus is run.  ``ignore_constant`` makes d the density free of every
-    configuration whose coordinates are not all equal, as in
-    ``max_free_density_exact``; without it a translation-invariant system
-    has d = 0, since each point is a constant configuration.  The seed column
+    unknown quantity or mode, an alpha outside [0, 1] for m or M,
+    ``ignore_constant`` with m or M, or a negative ``budget_ms``, raises
+    ValueError before the first modulus is run.  ``ignore_constant`` makes
+    d the density free of every configuration whose coordinates are not
+    all equal, as in ``max_free_density_exact``; without it a
+    translation-invariant system has d = 0, since each point is a
+    constant configuration.  The seed column
     is empty in exact mode, which reads no seed.  With ``out_dir`` the CSV
     and SVG artifacts are written there.
     """
@@ -115,6 +116,8 @@ def scan_convergence(
         check_alpha(alpha)
         if ignore_constant:
             raise ValueError("ignore_constant applies only to the quantity d")
+    if budget_ms is not None and budget_ms < 0:
+        raise ValueError(f"budget_ms must be non-negative, got {budget_ms}")
     records: list[ScanRecord] = []
     row_seed = seed if mode == "heuristic" else None
     scan_start = time.perf_counter()

@@ -403,6 +403,10 @@ def test_prime_q_at_most_the_degree_is_an_input_error(capsys, model, q):
          "--seed applies only with --mode heuristic"),
         # a system file where a family file belongs
         (["max-free", "--n", "7"], 'family files hold a list of systems or {"systems": [...]}'),
+        (["scan", "--budget-ms", "-5", "--quantity", "m", "--moduli", "5,7"],
+         "budget_ms must be non-negative, got -5"),
+        (["scan", "--quantity", "m", "--moduli", "5,a"],
+         "--moduli takes comma-separated integers, got 'a'"),
     ],
 )
 def test_extremal_bad_size_or_budget_is_an_input_error(capsys, system_file, argv, message):

@@ -358,6 +358,29 @@ def test_anneal_matches_one_hot_reference_over_several_multiplicities(system, n)
             assert got == _one_hot_anneal(system, n, size, seed, 1500, minimize), (size, seed)
 
 
+@pytest.mark.parametrize(
+    "system, top",
+    [
+        (LinearFormSystem(((1,),)), 1),
+        (dilate_pair(2), 2),
+        (three_ap(), 3),
+        (four_ap(), 4),
+        (progression_system(5), 5),
+    ],
+    ids=["x", "x,2x", "3AP", "4AP", "5AP"],
+)
+def test_anneal_matches_one_hot_reference_at_the_two_digit_edge(system, top):
+    # configurations of at most four vertices keep their outside counts mod 4
+    # in two digits updated in straight-line code; five vertices take the ripple
+    for n in (31, 61):
+        assert _anneal_setup(system, n)[3] == top
+        for size in (n // 3, n // 2):
+            for seed, minimize in ((0, True), (1, False)):
+                got = _anneal(system, n, size, seed, 1500, minimize)
+                want = _one_hot_anneal(system, n, size, seed, 1500, minimize)
+                assert got == want, (n, size, seed, minimize)
+
+
 class _CraftedBits:
     """Raw PCG64(seed) words with the low half of every third word zeroed.
 

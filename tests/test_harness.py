@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -134,8 +135,11 @@ def test_scan_marks_oversized_rows_skipped():
     assert methods[5] == ("exact", None)
 
 
-def test_scan_marks_rows_past_the_time_budget_skipped():
-    records, _ = scan_convergence(three_ap(), "m", Fraction(2, 5), [5, 7], budget_ms=-1)
+def test_scan_marks_rows_past_the_time_budget_skipped(monkeypatch):
+    # a clock that advances a second on every read puts each modulus past a zero budget
+    clock = itertools.count()
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: next(clock))
+    records, _ = scan_convergence(three_ap(), "m", Fraction(2, 5), [5, 7], budget_ms=0)
     assert [(r.method, r.reason, r.elapsed_ms) for r in records] == [("skipped", "time", 0.0)] * 2
 
 
@@ -149,22 +153,27 @@ def test_scan_propagates_errors_that_are_not_budget_errors(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "quantity, alpha, mode",
+    "quantity, alpha, mode, budget_ms",
     [
-        ("x", Fraction(1, 2), "exact"),
-        ("m", Fraction(7, 5), "exact"),
-        ("M", Fraction(-1, 5), "heuristic"),
-        ("M", 2, "exact"),
-        ("d", None, "fast"),
+        ("x", Fraction(1, 2), "exact", None),
+        ("m", Fraction(7, 5), "exact", None),
+        ("M", Fraction(-1, 5), "heuristic", None),
+        ("M", 2, "exact", None),
+        ("d", None, "fast", None),
+        ("m", Fraction(2, 5), "exact", -1),
     ],
+    ids=["x-alpha0-exact", "m-alpha1-exact", "M-alpha2-heuristic", "M-2-exact", "d-None-fast",
+         "negative-budget-ms"],
 )
-def test_scan_input_errors_raise_before_the_first_modulus(monkeypatch, quantity, alpha, mode):
+def test_scan_input_errors_raise_before_the_first_modulus(
+    monkeypatch, quantity, alpha, mode, budget_ms
+):
     def not_reached(*args, **kwargs):
         raise AssertionError("a modulus was run")
 
     monkeypatch.setattr(harness, "_run_quantity", not_reached)
     with pytest.raises(ValueError):
-        scan_convergence(three_ap(), quantity, alpha, [5, 7], mode=mode)
+        scan_convergence(three_ap(), quantity, alpha, [5, 7], mode=mode, budget_ms=budget_ms)
 
 
 def test_scan_alpha_bounds_are_inclusive_and_ignored_for_density():
